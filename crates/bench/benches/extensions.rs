@@ -1,13 +1,13 @@
 //! Benches for the extension crates: the §6 chooser's decision overhead,
 //! the buffer pool's hit/fault paths, external engine I/O throughput,
-//! rowid-set intersection strategies, and concurrent cracker scaling.
+//! rowid-set intersection strategies, and piece-locked concurrent cracking.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use scrack_bench::bench_data;
 use scrack_chooser::{ChooserEngine, PolicyKind};
 use scrack_core::{build_engine, CrackConfig, Engine, EngineKind};
 use scrack_external::{build_paged_engine, DiskStore, BufferPool, PagedEngineKind, PoolConfig};
-use scrack_parallel::{ParallelStrategy, PieceLockedCracker, SharedCracker};
+use scrack_parallel::{ParallelStrategy, PieceLockedCracker};
 use scrack_query::RowIdSet;
 use scrack_types::QueryRange;
 use scrack_workloads::{WorkloadKind, WorkloadSpec};
@@ -151,7 +151,7 @@ fn bench_rowset_intersection(c: &mut Criterion) {
 }
 
 /// Concurrent crackers: 4-thread disjoint-region streams through the
-/// column-lock design vs the piece-lock design.
+/// piece-lock design.
 fn bench_concurrent_crackers(c: &mut Criterion) {
     let data = bench_data(N);
     let threads = 4u64;
@@ -159,38 +159,6 @@ fn bench_concurrent_crackers(c: &mut Criterion) {
     let mut g = c.benchmark_group("ext_concurrent_4threads");
     g.sample_size(10);
     g.throughput(Throughput::Elements(threads * per_thread));
-    g.bench_function("shared_column_lock", |b| {
-        b.iter_batched(
-            || {
-                Arc::new(SharedCracker::new(
-                    data.clone(),
-                    ParallelStrategy::Stochastic,
-                    CrackConfig::default(),
-                    SEED,
-                ))
-            },
-            |sc| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let sc = Arc::clone(&sc);
-                        std::thread::spawn(move || {
-                            let region = t * (N / threads);
-                            for i in 0..per_thread {
-                                let a = region + (i * 6151) % (N / threads - 2_000);
-                                std::hint::black_box(
-                                    sc.select_aggregate(QueryRange::new(a, a + 1_000)),
-                                );
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("bench worker");
-                }
-            },
-            BatchSize::LargeInput,
-        );
-    });
     g.bench_function("piece_locks", |b| {
         b.iter_batched(
             || {

@@ -6,18 +6,17 @@
 //!                   [--smoke] [--json PATH] [--check]
 //! ```
 //!
-//! Sweeps `threads × strategy × workload` over the `scrack_parallel`
-//! wrappers and prints a summary table; `--json PATH` also writes the
-//! machine-readable report committed as `BENCH_6.json`. `--check` exits
-//! nonzero if any threads/strategy/workload cell is missing **or** the
-//! chunked strategy's threaded replay diverges from its serial twin on
-//! a 1/2/4-thread sweep — the CI throughput-smoke gate (coverage and
+//! Sweeps `threads × strategy × workload` over the two `scrack_parallel`
+//! concurrency shapes (`batch`, `piecelock`) and prints a summary table;
+//! `--json PATH` also writes the machine-readable report committed as
+//! `BENCH_6.json`. `--check` exits nonzero if any
+//! threads/strategy/workload cell is missing **or** the batch
+//! strategy's threaded replay diverges from its serial twin on a
+//! 1/2/4-thread sweep — the CI throughput-smoke gate (coverage and
 //! determinism only, never a perf threshold: CI boxes are too noisy to
 //! gate on queries/sec).
 
-use scrack_bench::throughput_report::{
-    verify_chunked_identity, ThroughputConfig, ThroughputReport,
-};
+use scrack_bench::throughput_report::{verify_batch_identity, ThroughputConfig, ThroughputReport};
 use scrack_bench::trajectory::CommonCli;
 use scrack_bench::value_of;
 use std::io::Write as _;
@@ -118,13 +117,13 @@ fn main() {
 
     if cli.check {
         let mut failures = report.missing_cells();
-        failures.extend(verify_chunked_identity(&cfg));
+        failures.extend(verify_batch_identity(&cfg));
         scrack_bench::trajectory::finish_check(
             "throughput",
             &failures,
             &format!(
                 "coverage check passed: {} cells, all threads/strategy/workload \
-                 combinations present; chunked threaded-vs-serial replay \
+                 combinations present; batch threaded-vs-serial replay \
                  bit-identical over a 1/2/4-thread sweep",
                 report.cells.len()
             ),

@@ -3,20 +3,21 @@
 //! The kernel harness ([`crate::kernels_report`]) tracks single-threaded
 //! ns/element; this module tracks the ROADMAP's other axis — sustained
 //! **query throughput** under concurrent execution. It sweeps
-//! `threads × strategy × workload` over the `scrack_parallel` wrappers
-//! and emits a stable [`scrack-trajectory/v1`](crate::trajectory)
-//! document (`BENCH_6.json` in the repo root, superseding PR 3's
-//! `BENCH_3.json`; regenerated via `cargo run --release -p scrack_bench
-//! --bin scrack_throughput -- --json BENCH_6.json`).
+//! `threads × strategy × workload` over the two `scrack_parallel`
+//! concurrency shapes — `batch` ([`BatchScheduler`]) and `piecelock`
+//! ([`PieceLockedCracker`]) — and emits a stable
+//! [`scrack-trajectory/v1`](crate::trajectory) document (`BENCH_6.json`
+//! in the repo root, superseding the older `BENCH_3.json`; regenerated via
+//! `cargo run --release -p scrack_bench --bin scrack_throughput --
+//! --threads 1,2 --json BENCH_6.json`).
 //!
 //! Per cell the harness reports:
 //!
 //! * `qps_median` — median queries/sec over the sample runs (medians for
 //!   the same reason as the kernel harness: shared-box tail noise);
 //! * `p99_latency_us` — the 99th-percentile latency of one *unit of
-//!   work* in microseconds. For the `batch` and `chunked` strategies the
-//!   unit is one batch (one `execute` call); for `piecelock` and
-//!   `shared` it is one query;
+//!   work* in microseconds. For the `batch` strategy the unit is one
+//!   batch (one `execute` call); for `piecelock` it is one query;
 //! * `scaling_efficiency` — `qps(T) / (T * qps(1))` against the same
 //!   strategy/workload's single-thread cell (1.0 = perfect scaling;
 //!   absent when the sweep has no `T = 1` baseline). Recorded together
@@ -27,16 +28,14 @@
 //! robust engine) under the session's
 //! [`KernelPolicy`](scrack_core::KernelPolicy); answers are the
 //! same `(count, key_sum)` aggregates the parallel crate's tests pin
-//! against the scan oracle. [`verify_chunked_identity`] additionally
-//! sweeps the chunked strategy over 1/2/4 threads asserting the
-//! threaded and serial replays stay bit-identical (answers *and*
-//! `Stats`) — the CI `--check` gate.
+//! against the scan oracle. [`verify_batch_identity`] additionally
+//! sweeps the batch strategy over 1/2/4 threads asserting the threaded
+//! and serial replays stay bit-identical (answers *and* `Stats`) — the
+//! CI `--check` gate.
 
 use crate::trajectory::{median, obj, percentile, Json, TrajectoryDoc};
 use scrack_core::{CrackConfig, IndexPolicy};
-use scrack_parallel::{
-    BatchScheduler, ChunkedCracker, ParallelStrategy, PieceLockedCracker, SharedCracker,
-};
+use scrack_parallel::{BatchScheduler, ParallelStrategy, PieceLockedCracker};
 use scrack_types::QueryRange;
 use scrack_workloads::data::unique_permutation;
 use scrack_workloads::{WorkloadKind, WorkloadSpec};
@@ -44,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The concurrent execution strategies the sweep covers.
-pub const STRATEGIES: [&str; 4] = ["batch", "chunked", "piecelock", "shared"];
+pub const STRATEGIES: [&str; 2] = ["batch", "piecelock"];
 
 /// The workload patterns the sweep covers (Fig. 7 names).
 pub const WORKLOADS: [&str; 3] = ["random", "sequential", "skew"];
@@ -124,13 +123,6 @@ fn workload_kind(name: &str) -> WorkloadKind {
     }
 }
 
-/// Query volume after which the harness's chunked columns
-/// partition-merge: a quarter of the stream, so every measured run
-/// exercises both the chunk phase and the merged (sharded) phase.
-fn chunked_merge_after(queries: usize) -> usize {
-    (queries / 4).max(1)
-}
-
 /// One timed run; returns `(wall_seconds, unit_latencies_ns, checksum)`.
 fn run_once(
     strategy: &str,
@@ -164,28 +156,6 @@ fn run_once(
             }
             (t0.elapsed().as_secs_f64(), latencies, checksum)
         }
-        "chunked" => {
-            let mut cc = ChunkedCracker::new(
-                data.to_vec(),
-                threads,
-                ParallelStrategy::Stochastic,
-                config,
-                seed,
-            )
-            .with_merge_after(chunked_merge_after(queries.len()));
-            let mut latencies = Vec::with_capacity(queries.len().div_ceil(batch));
-            let mut checksum = 0u64;
-            let t0 = Instant::now();
-            for chunk in queries.chunks(batch) {
-                let b0 = Instant::now();
-                let results = cc.execute(chunk);
-                latencies.push(b0.elapsed().as_nanos() as f64);
-                for (c, s) in results {
-                    checksum = checksum.wrapping_add(c as u64).wrapping_add(s);
-                }
-            }
-            (t0.elapsed().as_secs_f64(), latencies, checksum)
-        }
         "piecelock" => {
             let plc = Arc::new(PieceLockedCracker::new(
                 data.to_vec(),
@@ -194,15 +164,6 @@ fn run_once(
                 seed,
             ));
             run_query_threads(threads, queries, move |q| plc.select_aggregate(q))
-        }
-        "shared" => {
-            let sc = Arc::new(SharedCracker::new(
-                data.to_vec(),
-                ParallelStrategy::Stochastic,
-                config,
-                seed,
-            ));
-            run_query_threads(threads, queries, move |q| sc.select_aggregate(q))
         }
         other => panic!("unknown strategy {other}"),
     }
@@ -403,17 +364,17 @@ impl ThroughputReport {
     }
 }
 
-/// Thread counts [`verify_chunked_identity`] sweeps.
+/// Thread counts [`verify_batch_identity`] sweeps.
 pub const IDENTITY_SWEEP: [usize; 3] = [1, 2, 4];
 
-/// The determinism gate for the chunked strategy: for each thread count
+/// The determinism gate for the batch strategy: for each thread count
 /// in [`IDENTITY_SWEEP`], replays the random workload through a
-/// work-stealing [`ChunkedCracker`] and a serial twin (same chunk count,
-/// same seed, same merge point) batch by batch, asserting answers and
-/// [`Stats`](scrack_types::Stats) stay **bit-identical** across the
-/// partition-merge. Returns every divergence found (empty = pass); the
+/// [`BatchScheduler`] on the work-stealing executor (`execute`) and a
+/// serial twin (`execute_serial`, same shard count, same seed) batch by
+/// batch, asserting answers and [`Stats`](scrack_types::Stats) stay
+/// **bit-identical**. Returns every divergence found (empty = pass); the
 /// CI `scrack_throughput --smoke --check` step gates on this.
-pub fn verify_chunked_identity(config: &ThroughputConfig) -> Vec<String> {
+pub fn verify_batch_identity(config: &ThroughputConfig) -> Vec<String> {
     let data = unique_permutation::<u64>(config.n, config.seed);
     let queries = WorkloadSpec::new(WorkloadKind::Random, config.n, config.queries, config.seed)
         .with_selectivity((config.n / 1_000).max(10))
@@ -421,32 +382,23 @@ pub fn verify_chunked_identity(config: &ThroughputConfig) -> Vec<String> {
     let crack_config = CrackConfig::default().with_index(config.index);
     let mut failures = Vec::new();
     for threads in IDENTITY_SWEEP {
-        let mut par = ChunkedCracker::new(
-            data.clone(),
-            threads,
-            ParallelStrategy::Stochastic,
-            crack_config,
-            config.seed,
-        )
-        .with_merge_after(chunked_merge_after(queries.len()));
-        let mut ser = ChunkedCracker::new(
-            data.clone(),
-            threads,
-            ParallelStrategy::Stochastic,
-            crack_config,
-            config.seed,
-        )
-        .with_merge_after(chunked_merge_after(queries.len()));
+        let build = || {
+            BatchScheduler::new(
+                data.clone(),
+                threads,
+                ParallelStrategy::Stochastic,
+                crack_config,
+                config.seed,
+            )
+        };
+        let (mut par, mut ser) = (build(), build());
         for (bi, chunk) in queries.chunks(config.batch).enumerate() {
             if par.execute(chunk) != ser.execute_serial(chunk) {
-                failures.push(format!("chunked t={threads} batch {bi}: answers diverged"));
+                failures.push(format!("batch t={threads} batch {bi}: answers diverged"));
             }
         }
         if par.stats() != ser.stats() {
-            failures.push(format!("chunked t={threads}: Stats diverged"));
-        }
-        if par.has_merged() != ser.has_merged() {
-            failures.push(format!("chunked t={threads}: merge points diverged"));
+            failures.push(format!("batch t={threads}: Stats diverged"));
         }
     }
     failures
@@ -521,9 +473,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_identity_gate_passes() {
+    fn batch_identity_gate_passes() {
         let cfg = tiny_config();
-        let failures = verify_chunked_identity(&cfg);
+        let failures = verify_batch_identity(&cfg);
         assert!(failures.is_empty(), "{failures:?}");
     }
 }

@@ -10,21 +10,17 @@
 //! * `batch` — [`BatchScheduler`]: queries grouped by key region, run
 //!   partition-parallel over key-disjoint shards (`--batch` sets the
 //!   batch size, `--threads` the shard counts);
-//! * `chunked` — [`ChunkedCracker`]: parallel-chunked cracking over
-//!   private chunks that partition-merge into key-disjoint shards a
-//!   quarter of the way into the stream (Alvarez et al.'s adaptive
-//!   route to the same layout `batch` builds up front);
 //! * `piecelock` — [`PieceLockedCracker`]: per-piece locks, one query
 //!   stream per thread.
 //!
-//! The full sweep (more strategies, p99 latency, scaling efficiency,
-//! JSON baseline) lives in the `scrack_throughput` binary; this section
-//! is the quick in-harness view.
+//! The full sweep (p99 latency, scaling efficiency, JSON baseline) lives
+//! in the `scrack_throughput` binary; this section is the quick
+//! in-harness view.
 
 use super::{fresh_data, heading, workload};
 use crate::report::Table;
 use crate::runner::ExpConfig;
-use scrack_parallel::{BatchScheduler, ChunkedCracker, ParallelStrategy, PieceLockedCracker};
+use scrack_parallel::{BatchScheduler, ParallelStrategy, PieceLockedCracker};
 use scrack_types::QueryRange;
 use scrack_workloads::WorkloadKind;
 use std::sync::Arc;
@@ -43,27 +39,6 @@ fn run_batched(cfg: &ExpConfig, data: &[u64], queries: &[QueryRange], threads: u
     let t0 = Instant::now();
     for chunk in queries.chunks(cfg.batch.max(1)) {
         for (c, s) in sched.execute(chunk) {
-            checksum = checksum.wrapping_add(c as u64).wrapping_add(s);
-        }
-    }
-    (queries.len() as f64 / t0.elapsed().as_secs_f64().max(1e-12), checksum)
-}
-
-/// Parallel-chunked run (chunks partition-merge a quarter of the way
-/// into the stream); returns (queries/sec, result checksum).
-fn run_chunked(cfg: &ExpConfig, data: &[u64], queries: &[QueryRange], threads: usize) -> (f64, u64) {
-    let mut cc = ChunkedCracker::new(
-        data.to_vec(),
-        threads,
-        ParallelStrategy::Stochastic,
-        cfg.crack_config(),
-        cfg.seed_for("ext-parallel-chunked"),
-    )
-    .with_merge_after((queries.len() / 4).max(1));
-    let mut checksum = 0u64;
-    let t0 = Instant::now();
-    for chunk in queries.chunks(cfg.batch.max(1)) {
-        for (c, s) in cc.execute(chunk) {
             checksum = checksum.wrapping_add(c as u64).wrapping_add(s);
         }
     }
@@ -133,7 +108,6 @@ pub fn run(cfg: &ExpConfig) -> String {
         for &threads in &cfg.threads {
             for (name, (qps, checksum)) in [
                 ("batch", run_batched(cfg, &data, &queries, threads)),
-                ("chunked", run_chunked(cfg, &data, &queries, threads)),
                 ("piecelock", run_piecelocked(cfg, &data, &queries, threads)),
             ] {
                 let expect = *seen.get_or_insert(checksum);

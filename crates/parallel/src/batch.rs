@@ -1,16 +1,14 @@
 //! Batched, partition-parallel query execution.
 //!
-//! The wrappers in this crate parallelize *within* one query
-//! ([`ShardedCracker`](crate::ShardedCracker)) or serialize concurrent
-//! streams behind locks ([`SharedCracker`](crate::SharedCracker),
-//! [`PieceLockedCracker`](crate::PieceLockedCracker)). A throughput
-//! system gets a third shape: queries arrive in **batches**, and the
-//! scheduler routes each query to the data that can answer it. That is
-//! the coarse-grained parallel adaptive indexing of Alvarez et al.,
-//! *Main Memory Adaptive Indexing for Multi-core Systems* (DaMoN 2014):
-//! range-partition the column once, give every partition its own worker
-//! and work queue, and let partitions crack independently — no locks on
-//! the hot path at all.
+//! [`PieceLockedCracker`](crate::PieceLockedCracker) lets independent
+//! query streams crack one column concurrently under per-piece locks;
+//! it wins tail latency. The scheduler here wins throughput: queries
+//! arrive in **batches**, and the scheduler routes each query to the
+//! data that can answer it. That is the coarse-grained parallel adaptive
+//! indexing of Alvarez et al., *Main Memory Adaptive Indexing for
+//! Multi-core Systems* (DaMoN 2014): range-partition the column once,
+//! give every partition its own worker and work queue, and let
+//! partitions crack independently — no locks on the hot path at all.
 //!
 //! # Design
 //!
@@ -63,7 +61,8 @@ use crate::resilience::{
 use crate::ParallelStrategy;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use scrack_core::{CrackConfig, CrackedColumn, FaultInjector, FaultKind};
+use scrack_core::{CrackConfig, CrackedColumn, FaultInjector, FaultKind, KernelPolicy};
+use scrack_partition::{crack_in_two_policy, select_nth_key};
 use scrack_types::{Element, QueryRange, Stats};
 use scrack_updates::PendingUpdates;
 use std::time::{Duration, Instant};
@@ -76,6 +75,55 @@ const RECENT_BOUNDS_CAP: usize = 32;
 /// One resilient wave's per-query partial aggregates, keyed by query
 /// index (`None` = the query's deadline expired before it started).
 type WavePartials = Vec<(usize, Option<(usize, u64)>)>;
+
+/// Range-partitions `data` into (up to) `shard_count` key-disjoint
+/// spans on quantile bounds: introselect over a scratch copy picks the
+/// k-th smallest key at every `1/shard_count` position, then the
+/// physical split runs the configured [`KernelPolicy`] kernel, peeling
+/// one partition off the front per bound. Spans chain contiguously from
+/// `0` to `u64::MAX`.
+///
+/// Heavily duplicated keys can collapse adjacent quantiles; equal
+/// bounds merge, so fewer partitions than asked may come back —
+/// key-disjointness is never violated. This is the construction-time
+/// partitioning shared by [`BatchScheduler`] and the `scrack_txn`
+/// session layer, so both route keys over the identical shard map.
+///
+/// # Panics
+/// If `shard_count` is zero.
+pub fn key_disjoint_partitions<E: Element>(
+    mut data: Vec<E>,
+    shard_count: usize,
+    kernel: KernelPolicy,
+) -> Vec<(QueryRange, Vec<E>)> {
+    assert!(shard_count > 0, "need at least one shard");
+    let n = data.len();
+    let mut bounds: Vec<u64> = Vec::new();
+    if shard_count > 1 && n > 1 {
+        let mut scratch = data.clone();
+        let mut scratch_stats = Stats::default();
+        for i in 1..shard_count {
+            let k = i * n / shard_count;
+            if k > 0 && k < n {
+                bounds.push(select_nth_key(&mut scratch, k, &mut scratch_stats));
+            }
+        }
+        bounds.dedup();
+        bounds.retain(|b| *b > 0);
+    }
+    let mut parts = Vec::with_capacity(bounds.len() + 1);
+    let mut split_stats = Stats::default();
+    let mut lo = 0u64;
+    for &b in &bounds {
+        let pos = crack_in_two_policy(&mut data, b, kernel, &mut split_stats);
+        let tail = data.split_off(pos);
+        parts.push((QueryRange::new(lo, b), data));
+        data = tail;
+        lo = b;
+    }
+    parts.push((QueryRange::new(lo, u64::MAX), data));
+    parts
+}
 
 /// One operation of a mixed read/write batch.
 ///
@@ -325,15 +373,14 @@ impl<E: Element> BatchScheduler<E> {
     ) -> Self {
         // Quantile-bound partitioning (construction-time cost,
         // deliberately not charged to the query Stats) is shared with
-        // the other key-routed layers via `key_disjoint_partitions`.
-        let shards: Vec<BatchShard<E>> =
-            crate::sharded::key_disjoint_partitions(data, shard_count, config.kernel)
-                .into_iter()
-                .enumerate()
-                .map(|(i, (span, part))| {
-                    BatchShard::build(span, part, config, seed.wrapping_add(i as u64), i)
-                })
-                .collect();
+        // the session layer via `key_disjoint_partitions`.
+        let shards: Vec<BatchShard<E>> = key_disjoint_partitions(data, shard_count, config.kernel)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (span, part))| {
+                BatchShard::build(span, part, config, seed.wrapping_add(i as u64), i)
+            })
+            .collect();
         let queues = vec![Vec::new(); shards.len()];
         let op_queues = vec![Vec::new(); shards.len()];
         Self {
@@ -343,16 +390,6 @@ impl<E: Element> BatchScheduler<E> {
             op_queues,
             resilience: ResilienceStats::default(),
         }
-    }
-
-    /// [`BatchScheduler::new`] under [`CrackConfig::default`].
-    pub fn new_default(
-        data: Vec<E>,
-        shard_count: usize,
-        strategy: ParallelStrategy,
-        seed: u64,
-    ) -> Self {
-        Self::new(data, shard_count, strategy, CrackConfig::default(), seed)
     }
 
     /// Number of shards (may be lower than asked; see [`BatchScheduler::new`]).
@@ -1446,6 +1483,28 @@ mod tests {
             "repeat batch must touch less: {} vs {}",
             second.touched,
             first.touched
+        );
+    }
+
+    #[test]
+    fn sequential_workload_robustness_holds_per_shard() {
+        // The paper's sequential pattern, one query per batch: original
+        // cracking degrades towards a scan per query inside every shard,
+        // stochastic cracking must stay robust there.
+        let sequential_touched = |strategy| {
+            let mut sched =
+                BatchScheduler::new(permuted(40_000), 4, strategy, CrackConfig::default(), 3);
+            for i in 0..400u64 {
+                let q = QueryRange::new(i * 99, i * 99 + 10);
+                assert_eq!(sched.execute(&[q]), vec![(10, (q.low..q.high).sum())]);
+            }
+            sched.stats().touched
+        };
+        let crack = sequential_touched(ParallelStrategy::Crack);
+        let stochastic = sequential_touched(ParallelStrategy::Stochastic);
+        assert!(
+            crack > 3 * stochastic,
+            "sharded stochastic must stay robust on sequential: {crack} vs {stochastic}"
         );
     }
 }

@@ -1,4 +1,4 @@
-//! A small work-stealing executor for coarse shard/chunk tasks.
+//! A small work-stealing executor for coarse shard tasks.
 //!
 //! [`BatchScheduler`](crate::BatchScheduler) used to spawn one scoped
 //! thread per shard regardless of queue length or core count: a 16-shard
@@ -11,12 +11,12 @@
 //! deque, and idle workers *stealing* queued tasks from loaded ones so a
 //! skewed task distribution cannot idle cores.
 //!
-//! Tasks here are coarse — "drain this shard's queue", "crack this chunk
-//! for the whole batch" — and mutually independent (each owns `&mut` to
-//! its shard), so the executor can stay small: no futures, no unsafe, no
-//! task respawning. Total work is fixed up front, which makes
-//! termination trivial: a worker exits once every deque is empty (tasks
-//! in flight are owned by the worker running them and need no tracking).
+//! Tasks here are coarse — "drain this shard's queue" — and mutually
+//! independent (each owns `&mut` to its shard), so the executor can stay
+//! small: no futures, no unsafe, no task respawning. Total work is fixed
+//! up front, which makes termination trivial: a worker exits once every
+//! deque is empty (tasks in flight are owned by the worker running them
+//! and need no tracking).
 //!
 //! Determinism: the result of every task depends only on the task itself
 //! (per-shard state and RNG streams), never on which worker ran it or

@@ -1,11 +1,11 @@
 //! Piece-level locking: §6's "proper fine grained locking", implemented.
 //!
-//! [`SharedCracker`](crate::SharedCracker) serializes every reorganizing
-//! query behind one column-wide lock. This module takes the step §6
-//! sketches: each *piece* carries its own lock, so queries whose bounds
-//! fall into different pieces crack concurrently — and since cracking
-//! keeps making pieces smaller, contention falls as the index converges,
-//! exactly when throughput matters.
+//! One column-wide lock would serialize every reorganizing query. This
+//! module takes the step §6 sketches instead: each *piece* carries its
+//! own lock, so queries whose bounds fall into different pieces crack
+//! concurrently — and since cracking keeps making pieces smaller,
+//! contention falls as the index converges, exactly when throughput
+//! matters.
 //!
 //! # Design
 //!
@@ -155,12 +155,6 @@ impl<E: Element> PieceLockedCracker<E> {
             rng: Mutex::new(SmallRng::seed_from_u64(seed)),
             stats: Mutex::new(Stats::default()),
         }
-    }
-
-    /// [`PieceLockedCracker::new`] under [`CrackConfig::default`] — the
-    /// pre-config constructor signature, kept as a shim.
-    pub fn new_default(data: Vec<E>, strategy: ParallelStrategy, seed: u64) -> Self {
-        Self::new(data, strategy, CrackConfig::default(), seed)
     }
 
     /// Handle (and immutable lower bound — the lock resource key) of the
@@ -490,6 +484,49 @@ mod tests {
         // Then one query that spans nearly all of them.
         let q = QueryRange::new(100, 9_900);
         assert_eq!(plc.select_aggregate(q), oracle(&data, q));
+        plc.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn select_for_each_visits_every_match() {
+        let data = permuted(2_000);
+        let plc = PieceLockedCracker::new(data.clone(), ParallelStrategy::Crack, CrackConfig::default(), 5);
+        let q = QueryRange::new(500, 700);
+        let mut got = Vec::new();
+        plc.select_for_each(q, |e| got.push(e));
+        got.sort_unstable();
+        let mut expect: Vec<u64> = data.into_iter().filter(|k| q.contains(*k)).collect();
+        expect.sort_unstable();
+        assert_eq!(got, expect);
+        // Second call finds both bounds already cracked; same result.
+        let mut again = Vec::new();
+        plc.select_for_each(q, |e| again.push(e));
+        again.sort_unstable();
+        assert_eq!(again, expect);
+        plc.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn collect_returns_exact_multiset() {
+        // Collecting through `select_for_each` across many stochastic
+        // pieces returns exactly the qualifying multiset.
+        let data = permuted(5_000);
+        let plc = PieceLockedCracker::new(
+            data.clone(),
+            ParallelStrategy::Stochastic,
+            CrackConfig::default(),
+            9,
+        );
+        for i in 0..25u64 {
+            plc.select_aggregate(QueryRange::new(i * 200, i * 200 + 10));
+        }
+        let q = QueryRange::new(1_000, 2_000);
+        let mut got = Vec::new();
+        plc.select_for_each(q, |e| got.push(e));
+        got.sort_unstable();
+        let mut expect: Vec<u64> = data.into_iter().filter(|k| q.contains(*k)).collect();
+        expect.sort_unstable();
+        assert_eq!(got, expect);
         plc.check_integrity().unwrap();
     }
 

@@ -1,7 +1,6 @@
 use scrack_core::CrackConfig;
-use scrack_parallel::{BatchOp, BatchScheduler, ParallelStrategy, SharedCracker};
+use scrack_parallel::{BatchOp, BatchScheduler, ParallelStrategy};
 use scrack_types::QueryRange;
-use std::sync::Arc;
 
 #[test]
 fn delete_before_insert_of_absent_key_submission_order() {
@@ -16,46 +15,4 @@ fn delete_before_insert_of_absent_key_submission_order() {
     let results = sched.execute_ops(&ops);
     // Submission-order semantics (the documented model + ops_oracle): select sees the insert.
     assert_eq!(results[2], (1, 5000), "later select must observe the insert submitted before it");
-}
-
-#[test]
-fn edge_bound_queries_never_serialize_behind_the_write_lock() {
-    // Repro for the PR-6 read fast-path bug: `view_bounds_ready` only
-    // accepted a bound that existed as a crack (`lo_key == Some(bound)`),
-    // but MDD1R never cracks on query bounds — so a repeated tail query
-    // (`q.high` past the max key) or low-edge query (`q.low` at/below the
-    // min key) missed the fast path on EVERY call and serialized all
-    // concurrent readers behind the write lock, reorganizing forever.
-    // The documented condition (bound outside the key span of its piece
-    // edge is also ready) answers these from the published epoch with
-    // zero physical work from the very first call.
-    let data: Vec<u64> = (0..10_000u64).map(|i| (i * 48_271) % 10_000).collect();
-    let sc = Arc::new(SharedCracker::new(
-        data,
-        ParallelStrategy::Stochastic,
-        CrackConfig::default(),
-        42,
-    ));
-    let tail = QueryRange::new(0, 1 << 40); // both bounds outside the key span
-    let expect = sc.select_aggregate(tail);
-    assert_eq!(expect.0, 10_000);
-    assert_eq!(sc.stats().touched, 0, "edge query must not reorganize");
-
-    // Hammer the same edge query from many threads; the whole run must
-    // stay on the read path (zero touches — no write lock, no cracking).
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let sc = Arc::clone(&sc);
-            scope.spawn(move || {
-                for _ in 0..200 {
-                    assert_eq!(sc.select_aggregate(tail), expect);
-                }
-            });
-        }
-    });
-    assert_eq!(
-        sc.stats().touched,
-        0,
-        "repeated edge-bound queries must stay on the epoch read path"
-    );
 }

@@ -12,29 +12,13 @@
 //!    queues) vs `execute_serial` — per-shard queues are drained in a
 //!    fixed order with per-shard RNG streams, so scheduling cannot
 //!    matter.
-//! 2. [`ShardedCracker`]: the scoped fan-out vs a hand-rolled serial
-//!    replay of the same shard split and RNG streams.
-//! 3. [`PieceLockedCracker`]: threads confined to key-disjoint regions
+//! 2. [`PieceLockedCracker`]: threads confined to key-disjoint regions
 //!    (after a deterministic boundary warmup) vs a serial replay of the
 //!    same regions — piece locks partition the work, so per-region cost
 //!    is interleaving-invariant.
-//! 4. [`ChunkedCracker`]: `execute` (work-stealing workers over private
-//!    chunks, then merged shards) vs `execute_serial`, with the
-//!    partition-merge firing mid-stream on both paths — per-chunk RNG
-//!    streams and a query-count merge trigger keep the whole lifecycle
-//!    scheduling-invariant.
-//!
-//! Plus a liveness/atomicity stress for [`SharedCracker`]'s epoch read
-//! path: readers on published ranges run concurrently with a cracking
-//! writer and must only ever observe oracle-exact views.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use scrack_core::{CrackConfig, CrackedColumn, IndexPolicy, KernelPolicy, UpdatePolicy};
-use scrack_parallel::{
-    BatchOp, BatchScheduler, ChunkedCracker, ParallelStrategy, PieceLockedCracker, ShardedCracker,
-    SharedCracker,
-};
+use scrack_core::{CrackConfig, IndexPolicy, KernelPolicy, UpdatePolicy};
+use scrack_parallel::{BatchOp, BatchScheduler, ParallelStrategy, PieceLockedCracker};
 use scrack_types::{QueryRange, Stats};
 use std::sync::Arc;
 
@@ -228,191 +212,6 @@ fn batch_scheduler_stats_are_index_policy_invariant() {
                 runs[0].1, run.1,
                 "{strategy:?}/{}: Stats diverged across index policies",
                 INDEXES[i]
-            );
-        }
-    }
-}
-
-#[test]
-fn chunked_cracker_threads_match_serial_replay_bitwise() {
-    // The fourth pillar: parallel-chunked cracking must be
-    // scheduling-invariant through its whole lifecycle — chunk phase,
-    // the partition-merge (fires mid-stream at a fixed query count on
-    // both paths), and the merged shard phase.
-    let n = 30_000u64;
-    let data = column(n);
-    for kernel in POLICIES {
-        for index in INDEXES {
-            for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-                let config = CrackConfig::default().with_kernel(kernel).with_index(index);
-                let mut threaded = ChunkedCracker::new(data.clone(), 4, strategy, config, SEED)
-                    .with_merge_after(150);
-                let mut serial = ChunkedCracker::new(data.clone(), 4, strategy, config, SEED)
-                    .with_merge_after(150);
-                for round in 0..5u64 {
-                    let batch = mixed_batch(0, n, 80, round);
-                    let got = threaded.execute(&batch);
-                    assert_eq!(
-                        got,
-                        serial.execute_serial(&batch),
-                        "{kernel:?}/{index}/{strategy:?} round {round}: answers diverged"
-                    );
-                    for (qi, q) in batch.iter().enumerate() {
-                        assert_eq!(got[qi], oracle(&data, *q), "round {round} query {qi}");
-                    }
-                }
-                assert!(threaded.has_merged(), "merge must fire mid-stream");
-                assert_eq!(threaded.has_merged(), serial.has_merged());
-                assert_eq!(
-                    threaded.stats(),
-                    serial.stats(),
-                    "{kernel:?}/{index}/{strategy:?}: Stats must be bit-identical"
-                );
-                threaded.check_integrity().unwrap();
-            }
-        }
-    }
-}
-
-#[test]
-fn shared_cracker_readers_never_observe_torn_views_under_writer_contention() {
-    // The epoch read path's atomicity contract: while a writer cracks
-    // and republishes epochs, readers resolving against published
-    // snapshots must only ever see oracle-exact answers — never a
-    // half-reorganized view — and must not be serialized behind the
-    // writer (they share no lock with reorganization at all).
-    let n = 60_000u64;
-    let data = column(n);
-    let readers = 4u64;
-    for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-        let sc = Arc::new(SharedCracker::new(
-            data.clone(),
-            strategy,
-            CrackConfig::default(),
-            SEED,
-        ));
-        // Warm a set of reader ranges so their bounds are published:
-        // interior ranges (cracked by the warmup) plus edge-bound ranges
-        // (resolvable via the key span from the very first epoch).
-        let warmed: Vec<QueryRange> = (0..16u64)
-            .map(|i| QueryRange::new(i * 3_000, i * 3_000 + 1_500))
-            .chain([QueryRange::new(0, n * 2), QueryRange::new(n / 2, n * 4)])
-            .collect();
-        let expected: Vec<(usize, u64)> = warmed
-            .iter()
-            .map(|q| {
-                let got = sc.select_aggregate(*q);
-                assert_eq!(got, oracle(&data, *q));
-                got
-            })
-            .collect();
-        let shared_data = Arc::new(data.clone());
-        std::thread::scope(|scope| {
-            // One writer cracking fresh ranges the whole time, publishing
-            // epoch after epoch underneath the readers.
-            let writer_sc = Arc::clone(&sc);
-            let writer_data = Arc::clone(&shared_data);
-            scope.spawn(move || {
-                let mut state = 0xD1CE_BA5E_0000_0001u64;
-                for _ in 0..400 {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    let a = state % (n - 1_000);
-                    let q = QueryRange::new(a, a + 1 + state % 900);
-                    assert_eq!(
-                        writer_sc.select_aggregate(q),
-                        oracle(&writer_data, q),
-                        "writer answer diverged"
-                    );
-                }
-            });
-            // N readers hammering the warmed (published) ranges. A torn
-            // or half-reorganized view would break count or checksum.
-            for r in 0..readers {
-                let reader_sc = Arc::clone(&sc);
-                let warmed = warmed.clone();
-                let expected = expected.clone();
-                scope.spawn(move || {
-                    for round in 0..300usize {
-                        let i = (round + r as usize) % warmed.len();
-                        assert_eq!(
-                            reader_sc.select_aggregate(warmed[i]),
-                            expected[i],
-                            "reader {r} round {round}: torn view on {:?}",
-                            warmed[i]
-                        );
-                    }
-                });
-            }
-        });
-        sc.check_integrity().unwrap();
-    }
-}
-
-#[test]
-fn sharded_cracker_threads_match_serial_replay_bitwise() {
-    let n = 32_000u64;
-    let shards = 4usize;
-    let data = column(n);
-    for kernel in POLICIES {
-        for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-            let config = CrackConfig::default().with_kernel(kernel);
-            let queries = mixed_batch(0, n, 120, 7);
-
-            // Threaded run: every select fans out over `shards` scoped
-            // threads inside ShardedCracker.
-            let mut sc = ShardedCracker::new(data.clone(), shards, strategy, config, SEED);
-            let threaded_answers: Vec<(usize, u64)> =
-                queries.iter().map(|q| sc.select_aggregate(*q)).collect();
-
-            // Serial replay: the same chunk split (ShardedCracker's
-            // contract: near-equal front-to-back chunks, shard i seeded
-            // SEED + i), each shard drained on this thread.
-            let per = data.len().div_ceil(shards);
-            let mut cols: Vec<(CrackedColumn<u64>, SmallRng)> = data
-                .chunks(per)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    (
-                        CrackedColumn::new(chunk.to_vec(), config),
-                        SmallRng::seed_from_u64(SEED.wrapping_add(i as u64)),
-                    )
-                })
-                .collect();
-            let serial_answers: Vec<(usize, u64)> = queries
-                .iter()
-                .map(|q| {
-                    let mut count = 0usize;
-                    let mut sum = 0u64;
-                    for (col, rng) in &mut cols {
-                        let out = match strategy {
-                            ParallelStrategy::Crack => col.select_original(*q),
-                            ParallelStrategy::Stochastic => col.mdd1r_select(*q, rng),
-                        };
-                        for e in out.resolve(col.data()) {
-                            count += 1;
-                            sum = sum.wrapping_add(e);
-                        }
-                    }
-                    (count, sum)
-                })
-                .collect();
-
-            assert_eq!(
-                threaded_answers, serial_answers,
-                "{kernel:?}/{strategy:?}: answers diverged"
-            );
-            for (qi, q) in queries.iter().enumerate() {
-                assert_eq!(threaded_answers[qi], oracle(&data, *q), "query {qi}");
-            }
-            let serial_stats = cols.iter().fold(Stats::new(), |acc, (col, _)| {
-                acc + col.stats()
-            });
-            assert_eq!(
-                sc.stats(),
-                serial_stats,
-                "{kernel:?}/{strategy:?}: Stats must be bit-identical"
             );
         }
     }

@@ -32,7 +32,7 @@
 //! | [`hybrids`] | `scrack_hybrids` | hybrid crack/sort engines |
 //! | [`sideways`] | `scrack_sideways` | sideways cracking under storage budgets |
 //! | [`updates`] | `scrack_updates` | Ripple merge of pending updates |
-//! | [`parallel`] | `scrack_parallel` | sharded / shared / piece-locked / chunked cracking |
+//! | [`parallel`] | `scrack_parallel` | batched partition-parallel + piece-locked cracking |
 //! | [`txn`] | `scrack_txn` | transactional sessions: snapshot isolation, lock manager |
 
 #![forbid(unsafe_code)]
@@ -101,53 +101,13 @@ pub mod updates {
 
 /// Parallel cracking ([`scrack_parallel`]).
 ///
-/// Five concurrency shapes, all config-aware (the [`CrackConfig`]
+/// Two concurrency shapes, both config-aware (the [`CrackConfig`]
 /// kernel policy selects the branchy/branchless reorganization kernels
-/// on the concurrent paths too) and all oracle-equal under any
-/// interleaving. The threaded paths share one work-stealing executor
-/// ([`scrack_parallel::executor`]) that caps live workers at available
-/// parallelism.
-///
-/// [`ShardedCracker`] — one query fans out over independently cracked
-/// shards:
-///
-/// ```
-/// use stochastic_cracking::prelude::*;
-///
-/// let data: Vec<u64> = unique_permutation(2_000, 3);
-/// let mut sc = ShardedCracker::new(
-///     data.clone(), 4, ParallelStrategy::Stochastic, CrackConfig::default(), 3,
-/// );
-/// let q = QueryRange::new(250, 750);
-/// let oracle = Oracle::new(&data);
-/// assert_eq!(sc.select_aggregate(q), (oracle.count(q), oracle.checksum(q)));
-/// ```
-///
-/// [`SharedCracker`] — many threads share one column; writers publish
-/// immutable layout snapshots (epochs), and any query resolvable against
-/// the published epoch — existing cracks, or bounds outside the key
-/// span — answers over frozen data without blocking on in-flight cracks:
-///
-/// ```
-/// use stochastic_cracking::prelude::*;
-/// use std::sync::Arc;
-///
-/// let data: Vec<u64> = unique_permutation(2_000, 3);
-/// let oracle = Oracle::new(&data);
-/// let sc = Arc::new(SharedCracker::new(
-///     data, ParallelStrategy::Stochastic, CrackConfig::default(), 3,
-/// ));
-/// let handles: Vec<_> = (0..4u64)
-///     .map(|t| {
-///         let sc = Arc::clone(&sc);
-///         std::thread::spawn(move || sc.select_aggregate(QueryRange::new(t * 400, t * 400 + 200)))
-///     })
-///     .collect();
-/// for (t, h) in handles.into_iter().enumerate() {
-///     let q = QueryRange::new(t as u64 * 400, t as u64 * 400 + 200);
-///     assert_eq!(h.join().unwrap(), (oracle.count(q), oracle.checksum(q)));
-/// }
-/// ```
+/// on the concurrent paths too) and both oracle-equal under any
+/// interleaving: [`BatchScheduler`] wins throughput, and
+/// [`PieceLockedCracker`] wins tail latency. The batched paths run on
+/// one work-stealing executor ([`scrack_parallel::executor`]) that caps
+/// live workers at available parallelism.
 ///
 /// [`PieceLockedCracker`] — §6's fine-grained locking, one lock per
 /// piece:
@@ -182,28 +142,6 @@ pub mod updates {
 /// }
 /// ```
 ///
-/// [`ChunkedCracker`] — parallel-chunked cracking: workers crack
-/// private chunks with zero coordination, then partition-merge into
-/// key-disjoint shards once query volume accumulates:
-///
-/// ```
-/// use stochastic_cracking::prelude::*;
-///
-/// let data: Vec<u64> = unique_permutation(2_000, 3);
-/// let oracle = Oracle::new(&data);
-/// let mut cc = ChunkedCracker::new(
-///     data, 4, ParallelStrategy::Stochastic, CrackConfig::default(), 3,
-/// )
-/// .with_merge_after(8); // partition-merge early for the demo
-/// let batch: Vec<QueryRange> = (0..16u64).map(|i| QueryRange::new(i * 120, i * 120 + 60)).collect();
-/// for half in batch.chunks(8) {
-///     for (q, got) in half.iter().zip(cc.execute(half)) {
-///         assert_eq!(got, (oracle.count(*q), oracle.checksum(*q)));
-///     }
-/// }
-/// assert!(cc.has_merged()); // the second batch dispatched post-merge
-/// ```
-///
 /// **Fault-hardened serving** — [`BatchScheduler::execute_resilient`]
 /// runs the same batches behind admission control, per-query deadlines,
 /// and panic isolation. A worker panic (here injected deterministically
@@ -230,13 +168,10 @@ pub mod updates {
 /// assert!(sched.quarantined_shards().is_empty()); // rebuilt, back to cracking
 /// ```
 ///
-/// [`ShardedCracker`]: scrack_parallel::ShardedCracker
 /// [`BatchScheduler::execute_resilient`]: scrack_parallel::BatchScheduler::execute_resilient
 /// [`FaultPlan`]: scrack_core::FaultPlan
-/// [`SharedCracker`]: scrack_parallel::SharedCracker
 /// [`PieceLockedCracker`]: scrack_parallel::PieceLockedCracker
 /// [`BatchScheduler`]: scrack_parallel::BatchScheduler
-/// [`ChunkedCracker`]: scrack_parallel::ChunkedCracker
 /// [`CrackConfig`]: scrack_core::CrackConfig
 pub mod parallel {
     pub use scrack_parallel::*;
@@ -305,9 +240,8 @@ pub mod prelude {
     };
     pub use scrack_hybrids::{HybridEngine, HybridKind};
     pub use scrack_parallel::{
-        AdmissionPolicy, BatchOp, BatchReport, BatchScheduler, ChunkedCracker, ParallelStrategy,
-        PieceLockedCracker, QueryOutcome, ResilienceStats, ServingConfig, ShardedCracker,
-        SharedCracker, ShardHealth,
+        AdmissionPolicy, BatchOp, BatchReport, BatchScheduler, ParallelStrategy,
+        PieceLockedCracker, QueryOutcome, ResilienceStats, ServingConfig, ShardHealth,
     };
     pub use scrack_txn::{
         LockError, LockManager, LockMode, LockStats, Session, TxnError, TxnManager, TxnOutcome,
