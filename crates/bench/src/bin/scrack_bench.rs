@@ -13,7 +13,7 @@
 //! too noisy to gate on speedups).
 
 use scrack_bench::kernels_report::{KernelReport, DEFAULT_SIZES};
-use scrack_bench::value_of;
+use scrack_experiments::cli::{list_of, parse_of, value_of};
 use std::io::Write as _;
 
 fn main() {
@@ -27,16 +27,11 @@ fn main() {
         match args[i].as_str() {
             "--sizes" => {
                 i += 1;
-                sizes = value_of(&args, i, "--sizes")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--sizes takes integers"))
-                    .collect();
+                sizes = list_of(&args, i, "--sizes");
             }
             "--samples" => {
                 i += 1;
-                samples = value_of(&args, i, "--samples")
-                    .parse()
-                    .expect("--samples takes an integer");
+                samples = parse_of(&args, i, "--samples");
             }
             "--quick" => {
                 // Smoke scale: small pieces, few samples — seconds, not

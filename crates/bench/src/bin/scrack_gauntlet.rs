@@ -19,7 +19,7 @@
 
 use scrack_bench::gauntlet_report::{verify_gauntlet, GauntletConfig, GauntletReport, SCENARIOS};
 use scrack_bench::trajectory::CommonCli;
-use scrack_bench::value_of;
+use scrack_experiments::cli::{parse_of, value_of};
 use std::io::Write as _;
 
 fn main() {
@@ -36,29 +36,23 @@ fn main() {
         match args[i].as_str() {
             "--n" => {
                 i += 1;
-                cfg.n = value_of(&args, i, "--n").parse().expect("--n takes an integer");
+                cfg.n = parse_of(&args, i, "--n");
             }
             "--queries" => {
                 i += 1;
-                cfg.queries = value_of(&args, i, "--queries")
-                    .parse()
-                    .expect("--queries takes an integer");
+                cfg.queries = parse_of(&args, i, "--queries");
             }
             "--factor" => {
                 i += 1;
-                cfg.factor = value_of(&args, i, "--factor")
-                    .parse()
-                    .expect("--factor takes a number");
+                cfg.factor = parse_of(&args, i, "--factor");
             }
             "--epoch" => {
                 i += 1;
-                cfg.epoch_len = value_of(&args, i, "--epoch")
-                    .parse()
-                    .expect("--epoch takes an integer");
+                cfg.epoch_len = parse_of(&args, i, "--epoch");
             }
             "--seed" => {
                 i += 1;
-                cfg.seed = value_of(&args, i, "--seed").parse().expect("--seed takes an integer");
+                cfg.seed = parse_of(&args, i, "--seed");
             }
             "--scenario" => {
                 i += 1;

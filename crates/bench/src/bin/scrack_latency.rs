@@ -2,21 +2,19 @@
 //!
 //! ```text
 //! scrack_latency [--n N] [--queries Q] [--samples K]
-//!                [--index avl|flat|radix] [--smoke] [--json PATH] [--check]
+//!                [--smoke] [--json PATH] [--check]
 //! ```
 //!
-//! Sweeps `engine × workload × index policy` over single-threaded query
-//! sequences (the paper's central per-query/cumulative-time figure) plus
-//! a piece-lookup microbench at fixed crack counts, and prints a summary
-//! table; `--json PATH` also writes the machine-readable report
-//! committed as `BENCH_4.json`. `--index` restricts the sweep to one
-//! policy. `--check` exits nonzero if any engine/workload/policy or
-//! lookup cell is missing — the CI latency-smoke gate (coverage only,
-//! never a perf threshold: CI boxes are too noisy to gate on latency).
+//! Sweeps `engine × workload` over single-threaded query sequences (the
+//! paper's central per-query/cumulative-time figure) plus an AVL-vs-flat
+//! piece-lookup microbench at fixed crack counts, and prints a summary
+//! table; `--json PATH` also writes the machine-readable report.
+//! `--check` exits nonzero if any engine/workload or lookup cell is
+//! missing — the CI latency-smoke gate (coverage only, never a perf
+//! threshold: CI boxes are too noisy to gate on latency).
 
 use scrack_bench::latency_report::{LatencyConfig, LatencyReport};
-use scrack_core::IndexPolicy;
-use scrack_bench::value_of;
+use scrack_experiments::cli::{parse_of, value_of};
 use std::io::Write as _;
 
 fn main() {
@@ -29,32 +27,20 @@ fn main() {
         match args[i].as_str() {
             "--n" => {
                 i += 1;
-                cfg.n = value_of(&args, i, "--n").parse().expect("--n takes an integer");
+                cfg.n = parse_of(&args, i, "--n");
             }
             "--queries" => {
                 i += 1;
-                cfg.queries = value_of(&args, i, "--queries")
-                    .parse()
-                    .expect("--queries takes an integer");
+                cfg.queries = parse_of(&args, i, "--queries");
             }
             "--samples" => {
                 i += 1;
-                cfg.samples = value_of(&args, i, "--samples")
-                    .parse()
-                    .expect("--samples takes an integer");
-            }
-            "--index" => {
-                i += 1;
-                let policy = IndexPolicy::parse(value_of(&args, i, "--index")).unwrap_or_else(|| {
-                    eprintln!("--index takes avl|flat|radix, got {}", args[i]);
-                    std::process::exit(2);
-                });
-                cfg.policies = vec![policy];
+                cfg.samples = parse_of(&args, i, "--samples");
             }
             "--smoke" => {
                 // Smoke scale: small column, short sequence, one sample —
                 // seconds, not minutes, and still one cell for every
-                // engine/workload/policy combination.
+                // engine/workload combination.
                 cfg.n = 50_000;
                 cfg.queries = 1_000;
                 cfg.samples = 1;
@@ -67,7 +53,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: scrack_latency [--n N] [--queries Q] [--samples K] \
-                     [--index avl|flat|radix] [--smoke] [--json PATH] [--check]"
+                     [--smoke] [--json PATH] [--check]"
                 );
                 return;
             }
@@ -80,11 +66,9 @@ fn main() {
     }
 
     eprintln!(
-        "measuring {} engines x {} workloads x {} index policies, \
-         N={}, Q={}, {} sample(s) each ...",
+        "measuring {} engines x {} workloads, N={}, Q={}, {} sample(s) each ...",
         scrack_bench::latency_report::ENGINES.len(),
         scrack_bench::latency_report::WORKLOADS.len(),
-        cfg.policies.len(),
         cfg.n,
         cfg.queries,
         cfg.samples,
@@ -114,7 +98,7 @@ fn main() {
         let _ = writeln!(
             lock,
             "coverage check passed: {} latency cells + {} lookup cells, all \
-             engine/workload/policy combinations present",
+             engine/workload combinations present",
             report.cells.len(),
             report.lookup.len()
         );

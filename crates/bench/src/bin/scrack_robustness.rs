@@ -3,7 +3,7 @@
 //! ```text
 //! scrack_robustness [--n N] [--queries Q] [--batch B] [--shards S]
 //!                   [--capacity C] [--loads F,F,...] [--samples K]
-//!                   [--index avl|flat|radix] [--min-recovery R]
+//!                   [--min-recovery R]
 //!                   [--smoke] [--json PATH] [--check]
 //! ```
 //!
@@ -22,7 +22,7 @@
 
 use scrack_bench::robustness_report::{verify_gauntlet, RobustnessConfig, RobustnessReport};
 use scrack_bench::trajectory::CommonCli;
-use scrack_bench::value_of;
+use scrack_experiments::cli::{list_of, parse_of};
 use std::io::Write as _;
 
 fn main() {
@@ -52,64 +52,41 @@ fn main() {
         match args[i].as_str() {
             "--n" => {
                 i += 1;
-                cfg.n = value_of(&args, i, "--n").parse().expect("--n takes an integer");
+                cfg.n = parse_of(&args, i, "--n");
             }
             "--queries" => {
                 i += 1;
-                cfg.queries = value_of(&args, i, "--queries")
-                    .parse()
-                    .expect("--queries takes an integer");
+                cfg.queries = parse_of(&args, i, "--queries");
             }
             "--batch" => {
                 i += 1;
-                cfg.batch = value_of(&args, i, "--batch")
-                    .parse()
-                    .expect("--batch takes an integer");
+                cfg.batch = parse_of(&args, i, "--batch");
             }
             "--shards" => {
                 i += 1;
-                cfg.shards = value_of(&args, i, "--shards")
-                    .parse()
-                    .expect("--shards takes an integer");
+                cfg.shards = parse_of(&args, i, "--shards");
             }
             "--capacity" => {
                 i += 1;
-                cfg.queue_capacity = value_of(&args, i, "--capacity")
-                    .parse()
-                    .expect("--capacity takes an integer");
+                cfg.queue_capacity = parse_of(&args, i, "--capacity");
             }
             "--loads" => {
                 i += 1;
-                cfg.load_factors = value_of(&args, i, "--loads")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--loads takes numbers"))
-                    .collect();
+                cfg.load_factors = list_of(&args, i, "--loads");
             }
             "--samples" => {
                 i += 1;
-                cfg.samples = value_of(&args, i, "--samples")
-                    .parse()
-                    .expect("--samples takes an integer");
+                cfg.samples = parse_of(&args, i, "--samples");
             }
             "--min-recovery" => {
                 i += 1;
-                min_recovery = value_of(&args, i, "--min-recovery")
-                    .parse()
-                    .expect("--min-recovery takes a number");
-            }
-            "--index" => {
-                i += 1;
-                cfg.index = scrack_core::IndexPolicy::parse(value_of(&args, i, "--index"))
-                    .unwrap_or_else(|| {
-                        eprintln!("--index takes avl|flat|radix, got {}", args[i]);
-                        std::process::exit(2);
-                    });
+                min_recovery = parse_of(&args, i, "--min-recovery");
             }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: scrack_robustness [--n N] [--queries Q] [--batch B] \
                      [--shards S] [--capacity C] [--loads F,F,...] \
-                     [--samples K] [--index avl|flat|radix] [--min-recovery R] \
+                     [--samples K] [--min-recovery R] \
                      [--smoke] [--json PATH] [--check]"
                 );
                 return;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! scrack_throughput [--threads N,N,...] [--n N] [--queries Q]
-//!                   [--batch B] [--samples K] [--index avl|flat|radix]
+//!                   [--batch B] [--samples K]
 //!                   [--smoke] [--json PATH] [--check]
 //! ```
 //!
@@ -18,7 +18,7 @@
 
 use scrack_bench::throughput_report::{verify_batch_identity, ThroughputConfig, ThroughputReport};
 use scrack_bench::trajectory::CommonCli;
-use scrack_bench::value_of;
+use scrack_experiments::cli::{list_of, parse_of};
 use std::io::Write as _;
 
 fn main() {
@@ -40,46 +40,29 @@ fn main() {
         match args[i].as_str() {
             "--threads" => {
                 i += 1;
-                cfg.threads = value_of(&args, i, "--threads")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads takes integers"))
-                    .collect();
+                cfg.threads = list_of(&args, i, "--threads");
             }
             "--n" => {
                 i += 1;
-                cfg.n = value_of(&args, i, "--n").parse().expect("--n takes an integer");
+                cfg.n = parse_of(&args, i, "--n");
             }
             "--queries" => {
                 i += 1;
-                cfg.queries = value_of(&args, i, "--queries")
-                    .parse()
-                    .expect("--queries takes an integer");
+                cfg.queries = parse_of(&args, i, "--queries");
             }
             "--batch" => {
                 i += 1;
-                cfg.batch = value_of(&args, i, "--batch")
-                    .parse()
-                    .expect("--batch takes an integer");
+                cfg.batch = parse_of(&args, i, "--batch");
             }
             "--samples" => {
                 i += 1;
-                cfg.samples = value_of(&args, i, "--samples")
-                    .parse()
-                    .expect("--samples takes an integer");
-            }
-            "--index" => {
-                i += 1;
-                cfg.index = scrack_core::IndexPolicy::parse(value_of(&args, i, "--index"))
-                    .unwrap_or_else(|| {
-                        eprintln!("--index takes avl|flat|radix, got {}", args[i]);
-                        std::process::exit(2);
-                    });
+                cfg.samples = parse_of(&args, i, "--samples");
             }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: scrack_throughput [--threads N,N,...] [--n N] \
                      [--queries Q] [--batch B] [--samples K] \
-                     [--index avl|flat|radix] [--smoke] [--json PATH] [--check]"
+                     [--smoke] [--json PATH] [--check]"
                 );
                 return;
             }

@@ -19,7 +19,7 @@
 
 use scrack_bench::trajectory::CommonCli;
 use scrack_bench::txn_report::{verify_txn, TxnGauntletConfig, TxnReport, SCENARIOS};
-use scrack_bench::value_of;
+use scrack_experiments::cli::{parse_of, value_of};
 use std::io::Write as _;
 
 fn main() {
@@ -36,41 +36,31 @@ fn main() {
         match args[i].as_str() {
             "--n" => {
                 i += 1;
-                cfg.n = value_of(&args, i, "--n").parse().expect("--n takes an integer");
+                cfg.n = parse_of(&args, i, "--n");
             }
             "--rounds" => {
                 i += 1;
-                cfg.rounds = value_of(&args, i, "--rounds")
-                    .parse()
-                    .expect("--rounds takes an integer");
+                cfg.rounds = parse_of(&args, i, "--rounds");
             }
             "--steps" => {
                 i += 1;
-                cfg.steps = value_of(&args, i, "--steps")
-                    .parse()
-                    .expect("--steps takes an integer");
+                cfg.steps = parse_of(&args, i, "--steps");
             }
             "--sessions" => {
                 i += 1;
-                cfg.sessions = value_of(&args, i, "--sessions")
-                    .parse()
-                    .expect("--sessions takes an integer");
+                cfg.sessions = parse_of(&args, i, "--sessions");
             }
             "--shards" => {
                 i += 1;
-                cfg.shards = value_of(&args, i, "--shards")
-                    .parse()
-                    .expect("--shards takes an integer");
+                cfg.shards = parse_of(&args, i, "--shards");
             }
             "--trigger" => {
                 i += 1;
-                cfg.fault_trigger = value_of(&args, i, "--trigger")
-                    .parse()
-                    .expect("--trigger takes an integer");
+                cfg.fault_trigger = parse_of(&args, i, "--trigger");
             }
             "--seed" => {
                 i += 1;
-                cfg.seed = value_of(&args, i, "--seed").parse().expect("--seed takes an integer");
+                cfg.seed = parse_of(&args, i, "--seed");
             }
             "--scenario" => {
                 i += 1;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! scrack_updates [--n N] [--queries Q] [--rate R] [--samples K]
-//!                [--threads N,N,...] [--batch B] [--index avl|flat|radix]
+//!                [--threads N,N,...] [--batch B]
 //!                [--smoke] [--json PATH] [--check]
 //! ```
 //!
@@ -16,7 +16,7 @@
 //! measurement itself.
 
 use scrack_bench::updates_report::{UpdatesConfig, UpdatesReport};
-use scrack_bench::value_of;
+use scrack_experiments::cli::{list_of, parse_of, value_of};
 use std::io::Write as _;
 
 fn main() {
@@ -29,46 +29,27 @@ fn main() {
         match args[i].as_str() {
             "--n" => {
                 i += 1;
-                cfg.n = value_of(&args, i, "--n").parse().expect("--n takes an integer");
+                cfg.n = parse_of(&args, i, "--n");
             }
             "--queries" => {
                 i += 1;
-                cfg.queries = value_of(&args, i, "--queries")
-                    .parse()
-                    .expect("--queries takes an integer");
+                cfg.queries = parse_of(&args, i, "--queries");
             }
             "--rate" => {
                 i += 1;
-                cfg.update_rate = value_of(&args, i, "--rate")
-                    .parse()
-                    .expect("--rate takes a number");
+                cfg.update_rate = parse_of(&args, i, "--rate");
             }
             "--samples" => {
                 i += 1;
-                cfg.samples = value_of(&args, i, "--samples")
-                    .parse()
-                    .expect("--samples takes an integer");
+                cfg.samples = parse_of(&args, i, "--samples");
             }
             "--threads" => {
                 i += 1;
-                cfg.threads = value_of(&args, i, "--threads")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads takes integers"))
-                    .collect();
+                cfg.threads = list_of(&args, i, "--threads");
             }
             "--batch" => {
                 i += 1;
-                cfg.batch = value_of(&args, i, "--batch")
-                    .parse()
-                    .expect("--batch takes an integer");
-            }
-            "--index" => {
-                i += 1;
-                cfg.index = scrack_core::IndexPolicy::parse(value_of(&args, i, "--index"))
-                    .unwrap_or_else(|| {
-                        eprintln!("--index takes avl|flat|radix, got {}", args[i]);
-                        std::process::exit(2);
-                    });
+                cfg.batch = parse_of(&args, i, "--batch");
             }
             "--smoke" => {
                 // Smoke scale: small column, short stream, two thread
@@ -90,7 +71,7 @@ fn main() {
                 eprintln!(
                     "usage: scrack_updates [--n N] [--queries Q] [--rate R] \
                      [--samples K] [--threads N,N,...] [--batch B] \
-                     [--index avl|flat|radix] [--smoke] [--json PATH] [--check]"
+                     [--smoke] [--json PATH] [--check]"
                 );
                 return;
             }

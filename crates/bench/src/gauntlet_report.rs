@@ -121,7 +121,7 @@ pub struct GauntletCell {
     pub chooser_cost: u64,
     /// The cheapest static arm's total cost.
     pub best_static_cost: u64,
-    /// That arm's label (e.g. `MDD1R/auto/flat/batched`).
+    /// That arm's label (e.g. `MDD1R/auto/batched`).
     pub best_static: String,
     /// The most expensive static arm's total cost (the price of guessing
     /// the config wrong).

@@ -1,33 +1,27 @@
 //! The end-to-end query-latency harness: the paper's central figure, as
-//! data, under all three cracker-index representations.
+//! data, plus a piece-lookup microbench of both cracker-index
+//! representations.
 //!
 //! The kernel harness ([`crate::kernels_report`]) tracks ns/element of
 //! the reorganization primitives and the throughput harness
 //! ([`crate::throughput_report`]) concurrent queries/sec; this module
 //! tracks the figure the paper itself leads with — **per-query response
-//! time and cumulative time over a 10k-query sequence** — and uses it to
-//! baseline the PR-4 tentpole: the flat cracker index vs the AVL tree.
-//! Early in a sequence, data movement dominates and the index policy is
-//! invisible; post-convergence, per-query cost *is* index navigation, and
-//! the flat representation's branch-free search over contiguous arrays
-//! is where the win shows. The report therefore carries both the overall
-//! median and the **tail median** (the last 10% of the sequence, i.e.
+//! time and cumulative time over a 10k-query sequence** — on the engines
+//! as they ship, on the flat cracker index. Early in a sequence, data
+//! movement dominates; post-convergence, per-query cost *is* index
+//! navigation. The report therefore carries both the overall median and
+//! the **tail median** (the last 10% of the sequence, i.e.
 //! post-convergence) per cell, plus a direct piece-lookup microbench at
-//! fixed crack counts.
+//! fixed crack counts that times the flat index against the paper's AVL
+//! tree (built through [`CrackerIndex::with_policy`]).
 //!
-//! Emits `BENCH_4.json` in the repo root (regenerated via `cargo run
-//! --release -p scrack_bench --bin scrack_latency -- --json
-//! BENCH_4.json`). Every cell's result stream is checksummed; the
-//! harness asserts bit-identical answers across every index policy —
-//! the cross-policy contract checked at bench time on real scales.
-//!
-//! PR 10 widened both axes: the radix trie joins the policy sweep (its
-//! crossover vs the flat index is what the `65536`-crack lookup point
-//! exists to expose), and the deterministic MDD1M midpoint engine joins
-//! the engine sweep.
+//! Regenerate with `cargo run --release -p scrack_bench --bin
+//! scrack_latency -- --json target/latency.json`. Every cell's result
+//! stream is checksummed, and the harness asserts that repeated samples
+//! of a cell give bit-identical answers and crack counts.
 
-use scrack_core::{CrackConfig, CrackEngine, Engine, IndexPolicy, Mdd1mEngine, Mdd1rEngine};
-use scrack_index::CrackerIndex;
+use scrack_core::{CrackConfig, CrackEngine, Engine, Mdd1mEngine, Mdd1rEngine};
+use scrack_index::{CrackerIndex, IndexPolicy};
 use scrack_types::QueryRange;
 use scrack_workloads::data::unique_permutation;
 use scrack_workloads::{WorkloadKind, WorkloadSpec};
@@ -41,10 +35,9 @@ pub const ENGINES: [&str; 3] = ["crack", "mdd1r", "mdd1m"];
 /// The workload patterns the sweep covers (Fig. 7 names).
 pub const WORKLOADS: [&str; 3] = ["random", "sequential", "skew"];
 
-/// The crack counts the piece-lookup microbench measures at. The
-/// acceptance target for the flat index is defined at `>= 1k` cracks —
-/// the post-convergence regime; the `65536` point exists to expose the
-/// radix trie's crossover against binary-search depth.
+/// The crack counts the piece-lookup microbench measures at: the
+/// post-convergence regime (`>= 1k` cracks) up to the `65536` point,
+/// where binary-search depth is greatest.
 pub const LOOKUP_CRACKS: [usize; 4] = [1_024, 4_096, 16_384, 65_536];
 
 /// Scale and sweep settings for one harness run.
@@ -52,13 +45,11 @@ pub const LOOKUP_CRACKS: [usize; 4] = [1_024, 4_096, 16_384, 65_536];
 pub struct LatencyConfig {
     /// Column size / key domain `N`.
     pub n: u64,
-    /// Queries per engine/workload/policy run (the paper's sequence
-    /// length is 10^4).
+    /// Queries per engine/workload run (the paper's sequence length is
+    /// 10^4).
     pub queries: usize,
     /// Runs per cell; reported numbers are medians across samples.
     pub samples: usize,
-    /// Index policies to sweep (default: both).
-    pub policies: Vec<IndexPolicy>,
     /// RNG seed for data and workloads.
     pub seed: u64,
 }
@@ -69,21 +60,18 @@ impl Default for LatencyConfig {
             n: 1_000_000,
             queries: 10_000,
             samples: 3,
-            policies: IndexPolicy::ALL.to_vec(),
             seed: 0xBE7C,
         }
     }
 }
 
-/// One `(engine, workload, policy)` end-to-end measurement.
+/// One `(engine, workload)` end-to-end measurement.
 #[derive(Clone, Debug)]
 pub struct LatencyCell {
     /// Engine (one of [`ENGINES`]).
     pub engine: &'static str,
     /// Workload pattern (one of [`WORKLOADS`]).
     pub workload: &'static str,
-    /// Index policy label (`avl`, `flat` or `radix`).
-    pub policy: &'static str,
     /// Cumulative wall-clock seconds for the whole query sequence
     /// (median across samples).
     pub cumulative_s: f64,
@@ -94,14 +82,14 @@ pub struct LatencyCell {
     pub tail_median_us: f64,
     /// 99th-percentile per-query latency, microseconds.
     pub p99_us: f64,
-    /// Final crack count (identical across policies by contract).
+    /// Final crack count (identical across samples).
     pub cracks: usize,
 }
 
 /// One piece-lookup microbench measurement.
 #[derive(Clone, Debug)]
 pub struct LookupCell {
-    /// Index policy label.
+    /// Index policy label (`avl` or `flat`).
     pub policy: &'static str,
     /// Cracks in the index when measured.
     pub cracks: usize,
@@ -121,7 +109,7 @@ pub struct LatencyReport {
     /// CPUs available to the measuring process (context only; the
     /// harness itself is single-threaded).
     pub host_cpus: usize,
-    /// End-to-end cells, engine-major then workload then policy.
+    /// End-to-end cells, engine-major then workload.
     pub cells: Vec<LatencyCell>,
     /// Piece-lookup microbench cells, policy-major then crack count.
     pub lookup: Vec<LookupCell>,
@@ -158,12 +146,11 @@ fn workload_kind(name: &str) -> WorkloadKind {
 /// and the final crack count.
 fn run_once(
     engine: &str,
-    policy: IndexPolicy,
     data: &[u64],
     queries: &[QueryRange],
     seed: u64,
 ) -> (Vec<f64>, u64, usize) {
-    let config = CrackConfig::default().with_index(policy);
+    let config = CrackConfig::default();
     let mut latencies = Vec::with_capacity(queries.len());
     let mut checksum = 0u64;
     let mut select = |eng: &mut dyn Engine<u64>| {
@@ -234,14 +221,13 @@ fn lookup_ns(policy: IndexPolicy, cracks: usize, n: u64, samples: usize) -> f64 
 }
 
 impl LatencyReport {
-    /// Runs the harness: every engine × workload × policy,
-    /// `config.samples` timed runs each, plus the piece-lookup
-    /// microbench. Asserts bit-identical result checksums and crack
-    /// counts across index policies per (engine, workload).
+    /// Runs the harness: every engine × workload, `config.samples` timed
+    /// runs each, plus the piece-lookup microbench over both index
+    /// policies. Asserts bit-identical result checksums and crack counts
+    /// across the samples of each (engine, workload).
     pub fn measure(config: &LatencyConfig) -> LatencyReport {
         assert!(config.samples > 0, "need at least one sample");
         assert!(config.queries > 0, "need at least one query");
-        assert!(!config.policies.is_empty(), "need at least one policy");
         let data = unique_permutation::<u64>(config.n, config.seed);
         let mut cells = Vec::new();
         for engine in ENGINES {
@@ -256,51 +242,43 @@ impl LatencyReport {
                 .generate();
                 let mut checksum_seen: Option<u64> = None;
                 let mut cracks_seen: Option<usize> = None;
-                for &policy in &config.policies {
-                    let mut cum_runs = Vec::with_capacity(config.samples);
-                    let mut med_runs = Vec::with_capacity(config.samples);
-                    let mut tail_runs = Vec::with_capacity(config.samples);
-                    let mut p99_runs = Vec::with_capacity(config.samples);
-                    let mut cracks = 0usize;
-                    for _ in 0..config.samples {
-                        let (lat, checksum, run_cracks) =
-                            run_once(engine, policy, &data, &queries, config.seed);
-                        // The index policy must not change a single
-                        // answer — caught here at real scale.
-                        let seen = *checksum_seen.get_or_insert(checksum);
-                        assert_eq!(
-                            seen, checksum,
-                            "{engine}/{workload}/{policy}: result checksum diverged"
-                        );
-                        let seen_cracks = *cracks_seen.get_or_insert(run_cracks);
-                        assert_eq!(
-                            seen_cracks, run_cracks,
-                            "{engine}/{workload}/{policy}: crack count diverged"
-                        );
-                        cracks = run_cracks;
-                        cum_runs.push(lat.iter().sum::<f64>() / 1e9);
-                        let tail_start = lat.len() - (lat.len() / 10).max(1);
-                        tail_runs.push(median(lat[tail_start..].to_vec()) / 1_000.0);
-                        let mut lat = lat;
-                        p99_runs.push(percentile(&mut lat, 99.0) / 1_000.0);
-                        med_runs.push(median(lat) / 1_000.0);
-                    }
-                    cells.push(LatencyCell {
-                        engine,
-                        workload,
-                        policy: policy.label(),
-                        cumulative_s: median(cum_runs),
-                        median_us: median(med_runs),
-                        tail_median_us: median(tail_runs),
-                        p99_us: median(p99_runs),
-                        cracks,
-                    });
+                let mut cum_runs = Vec::with_capacity(config.samples);
+                let mut med_runs = Vec::with_capacity(config.samples);
+                let mut tail_runs = Vec::with_capacity(config.samples);
+                let mut p99_runs = Vec::with_capacity(config.samples);
+                for _ in 0..config.samples {
+                    let (lat, checksum, cracks) = run_once(engine, &data, &queries, config.seed);
+                    let seen = *checksum_seen.get_or_insert(checksum);
+                    assert_eq!(
+                        seen, checksum,
+                        "{engine}/{workload}: result checksum diverged"
+                    );
+                    let seen_cracks = *cracks_seen.get_or_insert(cracks);
+                    assert_eq!(
+                        seen_cracks, cracks,
+                        "{engine}/{workload}: crack count diverged"
+                    );
+                    cum_runs.push(lat.iter().sum::<f64>() / 1e9);
+                    let tail_start = lat.len() - (lat.len() / 10).max(1);
+                    tail_runs.push(median(lat[tail_start..].to_vec()) / 1_000.0);
+                    let mut lat = lat;
+                    p99_runs.push(percentile(&mut lat, 99.0) / 1_000.0);
+                    med_runs.push(median(lat) / 1_000.0);
                 }
+                cells.push(LatencyCell {
+                    engine,
+                    workload,
+                    cumulative_s: median(cum_runs),
+                    median_us: median(med_runs),
+                    tail_median_us: median(tail_runs),
+                    p99_us: median(p99_runs),
+                    cracks: cracks_seen.expect("at least one sample"),
+                });
             }
         }
         let mut lookup = Vec::new();
         let lookup_domain = config.n.max(1 << 20);
-        for &policy in &config.policies {
+        for policy in IndexPolicy::ALL {
             for cracks in LOOKUP_CRACKS {
                 lookup.push(LookupCell {
                     policy: policy.label(),
@@ -318,11 +296,11 @@ impl LatencyReport {
         }
     }
 
-    /// The cell for (engine, workload, policy), if measured.
-    pub fn cell(&self, engine: &str, workload: &str, policy: &str) -> Option<&LatencyCell> {
+    /// The cell for (engine, workload), if measured.
+    pub fn cell(&self, engine: &str, workload: &str) -> Option<&LatencyCell> {
         self.cells
             .iter()
-            .find(|c| c.engine == engine && c.workload == workload && c.policy == policy)
+            .find(|c| c.engine == engine && c.workload == workload)
     }
 
     /// The lookup cell for (policy, cracks), if measured.
@@ -332,48 +310,27 @@ impl LatencyReport {
             .find(|c| c.policy == policy && c.cracks == cracks)
     }
 
-    /// Piece-lookup speedup of `contender` over `baseline` at `cracks`,
-    /// when both were measured (`baseline_ns / contender_ns`; > 1 means
-    /// the contender is faster).
-    pub fn lookup_speedup_over(
-        &self,
-        baseline: &str,
-        contender: &str,
-        cracks: usize,
-    ) -> Option<f64> {
-        let base = self.lookup_cell(baseline, cracks)?.ns_per_lookup;
-        let cont = self.lookup_cell(contender, cracks)?.ns_per_lookup;
-        (cont > 0.0).then(|| base / cont)
-    }
-
     /// Flat-over-AVL piece-lookup speedup at `cracks`, when both were
     /// measured (`avl_ns / flat_ns`; > 1 means flat is faster).
     pub fn lookup_speedup(&self, cracks: usize) -> Option<f64> {
-        self.lookup_speedup_over("avl", "flat", cracks)
+        let avl = self.lookup_cell("avl", cracks)?.ns_per_lookup;
+        let flat = self.lookup_cell("flat", cracks)?.ns_per_lookup;
+        (flat > 0.0).then(|| avl / flat)
     }
 
-    /// Radix-over-flat piece-lookup speedup at `cracks` (> 1 means the
-    /// radix trie is faster) — the crossover measurement the radix
-    /// representation is judged by.
-    pub fn radix_lookup_speedup(&self, cracks: usize) -> Option<f64> {
-        self.lookup_speedup_over("flat", "radix", cracks)
-    }
-
-    /// Every engine/workload/policy combination (and lookup cell) missing
-    /// from the report (empty = full coverage). The CI latency-smoke step
+    /// Every engine/workload combination (and lookup cell) missing from
+    /// the report (empty = full coverage). The CI latency-smoke step
     /// gates on this — coverage only, never a perf threshold.
     pub fn missing_cells(&self) -> Vec<String> {
         let mut missing = Vec::new();
         for engine in ENGINES {
             for workload in WORKLOADS {
-                for &policy in &self.config.policies {
-                    if self.cell(engine, workload, policy.label()).is_none() {
-                        missing.push(format!("{engine}/{workload}/{}", policy.label()));
-                    }
+                if self.cell(engine, workload).is_none() {
+                    missing.push(format!("{engine}/{workload}"));
                 }
             }
         }
-        for &policy in &self.config.policies {
+        for policy in IndexPolicy::ALL {
             for cracks in LOOKUP_CRACKS {
                 if self.lookup_cell(policy.label(), cracks).is_none() {
                     missing.push(format!("lookup/{}/{cracks}", policy.label()));
@@ -388,7 +345,7 @@ impl LatencyReport {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        s.push_str("  \"schema\": \"scrack-latency-bench/v1\",\n");
+        s.push_str("  \"schema\": \"scrack-latency-bench/v2\",\n");
         s.push_str(&format!("  \"n\": {},\n", self.config.n));
         s.push_str(&format!("  \"queries\": {},\n", self.config.queries));
         s.push_str(&format!("  \"samples\": {},\n", self.config.samples));
@@ -400,19 +357,18 @@ impl LatencyReport {
                 .collect::<Vec<_>>()
                 .join(", ")
         };
-        let policies: Vec<&str> = self.config.policies.iter().map(|p| p.label()).collect();
+        let policies = IndexPolicy::ALL.map(|p| p.label());
         s.push_str(&format!("  \"engines\": [{}],\n", quoted(&ENGINES)));
         s.push_str(&format!("  \"workloads\": [{}],\n", quoted(&WORKLOADS)));
         s.push_str(&format!("  \"index_policies\": [{}],\n", quoted(&policies)));
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             s.push_str(&format!(
-                "    {{\"engine\": \"{}\", \"workload\": \"{}\", \"index\": \"{}\", \
+                "    {{\"engine\": \"{}\", \"workload\": \"{}\", \
                  \"cumulative_s\": {:.4}, \"median_us\": {:.3}, \
                  \"tail_median_us\": {:.3}, \"p99_us\": {:.2}, \"cracks\": {}}}{}\n",
                 c.engine,
                 c.workload,
-                c.policy,
                 c.cumulative_s,
                 c.median_us,
                 c.tail_median_us,
@@ -443,16 +399,15 @@ impl LatencyReport {
     pub fn render_table(&self) -> String {
         let mut s = String::new();
         s.push_str(
-            "| engine | workload | index | cumulative (s) | median (µs) | \
+            "| engine | workload | cumulative (s) | median (µs) | \
              tail median (µs) | p99 (µs) | cracks |\n",
         );
-        s.push_str("|---|---|---|---|---|---|---|---|\n");
+        s.push_str("|---|---|---|---|---|---|---|\n");
         for c in &self.cells {
             s.push_str(&format!(
-                "| {} | {} | {} | {:.3} | {:.2} | {:.2} | {:.1} | {} |\n",
+                "| {} | {} | {:.3} | {:.2} | {:.2} | {:.1} | {} |\n",
                 c.engine,
                 c.workload,
-                c.policy,
                 c.cumulative_s,
                 c.median_us,
                 c.tail_median_us,
@@ -460,18 +415,15 @@ impl LatencyReport {
                 c.cracks
             ));
         }
-        s.push_str("\n| index | cracks | ns/lookup | flat speedup | radix speedup |\n");
-        s.push_str("|---|---|---|---|---|\n");
+        s.push_str("\n| index | cracks | ns/lookup | flat speedup |\n");
+        s.push_str("|---|---|---|---|\n");
         for c in &self.lookup {
             let speedup = self
                 .lookup_speedup(c.cracks)
                 .map_or("—".to_string(), |x| format!("{x:.2}x"));
-            let radix = self
-                .radix_lookup_speedup(c.cracks)
-                .map_or("—".to_string(), |x| format!("{x:.2}x"));
             s.push_str(&format!(
-                "| {} | {} | {:.1} | {} | {} |\n",
-                c.policy, c.cracks, c.ns_per_lookup, speedup, radix
+                "| {} | {} | {:.1} | {} |\n",
+                c.policy, c.cracks, c.ns_per_lookup, speedup
             ));
         }
         s
@@ -487,7 +439,6 @@ mod tests {
             n: 4_000,
             queries: 100,
             samples: 1,
-            policies: IndexPolicy::ALL.to_vec(),
             seed: 7,
         }
     }
@@ -495,9 +446,8 @@ mod tests {
     #[test]
     fn covers_every_cell_with_finite_numbers() {
         let r = LatencyReport::measure(&tiny_config());
-        let n_policies = IndexPolicy::ALL.len();
-        assert_eq!(r.cells.len(), ENGINES.len() * WORKLOADS.len() * n_policies);
-        assert_eq!(r.lookup.len(), LOOKUP_CRACKS.len() * n_policies);
+        assert_eq!(r.cells.len(), ENGINES.len() * WORKLOADS.len());
+        assert_eq!(r.lookup.len(), LOOKUP_CRACKS.len() * IndexPolicy::ALL.len());
         assert!(r.missing_cells().is_empty(), "{:?}", r.missing_cells());
         for c in &r.cells {
             assert!(c.cumulative_s.is_finite() && c.cumulative_s > 0.0, "{c:?}");
@@ -511,19 +461,7 @@ mod tests {
         }
         for cracks in LOOKUP_CRACKS {
             assert!(r.lookup_speedup(cracks).unwrap() > 0.0);
-            assert!(r.radix_lookup_speedup(cracks).unwrap() > 0.0);
         }
-    }
-
-    #[test]
-    fn policy_restriction_narrows_the_sweep() {
-        let mut cfg = tiny_config();
-        cfg.policies = vec![IndexPolicy::Flat];
-        let r = LatencyReport::measure(&cfg);
-        assert_eq!(r.cells.len(), ENGINES.len() * WORKLOADS.len());
-        assert!(r.cells.iter().all(|c| c.policy == "flat"));
-        assert!(r.missing_cells().is_empty());
-        assert!(r.lookup_speedup(1_024).is_none(), "needs both policies");
     }
 
     #[test]
@@ -541,7 +479,7 @@ mod tests {
         for name in ENGINES
             .iter()
             .chain(WORKLOADS.iter())
-            .chain(["avl", "flat", "radix"].iter())
+            .chain(["avl", "flat"].iter())
         {
             assert!(json.contains(name), "missing {name}");
         }

@@ -36,15 +36,6 @@ pub mod updates_report;
 use scrack_types::QueryRange;
 use scrack_workloads::{WorkloadKind, WorkloadSpec};
 
-/// CLI helper shared by the reporter binaries: the flag's value operand,
-/// or a usage error (exit 2) if it is missing.
-pub fn value_of<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
-    args.get(i).map(String::as_str).unwrap_or_else(|| {
-        eprintln!("{flag} requires a value (try --help)");
-        std::process::exit(2);
-    })
-}
-
 /// Deterministic data for benches: a permutation of `0..n`.
 pub fn bench_data(n: u64) -> Vec<u64> {
     scrack_workloads::data::unique_permutation(n, 0xBE7C)

@@ -39,7 +39,7 @@
 //! --json BENCH_7.json`).
 
 use crate::trajectory::{median, obj, percentile, Json, TrajectoryDoc};
-use scrack_core::{CrackConfig, FaultPlan, IndexPolicy};
+use scrack_core::{CrackConfig, FaultPlan};
 use scrack_parallel::{
     AdmissionPolicy, BatchScheduler, ParallelStrategy, QueryOutcome, ServingConfig,
 };
@@ -85,8 +85,6 @@ pub struct RobustnessConfig {
     pub samples: usize,
     /// RNG seed for data and workloads.
     pub seed: u64,
-    /// Cracker-index representation the shards run on.
-    pub index: IndexPolicy,
 }
 
 impl Default for RobustnessConfig {
@@ -103,7 +101,6 @@ impl Default for RobustnessConfig {
             overload_capacity: 8,
             samples: 3,
             seed: 0x0B_0B,
-            index: IndexPolicy::default(),
         }
     }
 }
@@ -232,7 +229,7 @@ fn run_once(
     plan: FaultPlan,
     offered_qps: f64,
 ) -> RunOutcome {
-    let crack_config = CrackConfig::default().with_index(cfg.index).with_fault(plan);
+    let crack_config = CrackConfig::default().with_fault(plan);
     let mut sched = BatchScheduler::new(
         data.to_vec(),
         cfg.shards,
@@ -446,7 +443,6 @@ impl RobustnessReport {
                 Json::UInt(self.config.overload_capacity as u64),
             )
             .param("samples", Json::UInt(self.config.samples as u64))
-            .param("index_policy", Json::str(self.config.index.to_string()))
             .param("host_cpus", Json::UInt(self.host_cpus as u64))
             .param("base_qps", Json::fixed(self.base_qps, 1))
             .axis("faults", FAULTS.iter().map(|f| Json::str(*f)).collect())
@@ -579,7 +575,6 @@ mod tests {
             overload_capacity: 2,
             samples: 1,
             seed: 7,
-            index: IndexPolicy::default(),
         }
     }
 

@@ -34,7 +34,7 @@
 //! CI `--check` gate.
 
 use crate::trajectory::{median, obj, percentile, Json, TrajectoryDoc};
-use scrack_core::{CrackConfig, IndexPolicy};
+use scrack_core::CrackConfig;
 use scrack_parallel::{BatchScheduler, ParallelStrategy, PieceLockedCracker};
 use scrack_types::QueryRange;
 use scrack_workloads::data::unique_permutation;
@@ -66,8 +66,6 @@ pub struct ThroughputConfig {
     pub threads: Vec<usize>,
     /// RNG seed for data and workloads.
     pub seed: u64,
-    /// Cracker-index representation the wrappers' columns run on.
-    pub index: IndexPolicy,
 }
 
 impl Default for ThroughputConfig {
@@ -79,7 +77,6 @@ impl Default for ThroughputConfig {
             samples: 3,
             threads: DEFAULT_THREADS.to_vec(),
             seed: 0xBE7C,
-            index: IndexPolicy::default(),
         }
     }
 }
@@ -131,9 +128,8 @@ fn run_once(
     queries: &[QueryRange],
     batch: usize,
     seed: u64,
-    index: IndexPolicy,
 ) -> (f64, Vec<f64>, u64) {
-    let config = CrackConfig::default().with_index(index);
+    let config = CrackConfig::default();
     match strategy {
         "batch" => {
             let mut sched = BatchScheduler::new(
@@ -242,7 +238,6 @@ impl ThroughputReport {
                             &queries,
                             config.batch,
                             config.seed.wrapping_add(sample as u64),
-                            config.index,
                         );
                         // Stochastic pivots differ per strategy/seed, but
                         // the *answers* may not: any checksum divergence
@@ -320,7 +315,6 @@ impl ThroughputReport {
             .param("queries", Json::UInt(self.config.queries as u64))
             .param("batch_size", Json::UInt(self.config.batch as u64))
             .param("samples", Json::UInt(self.config.samples as u64))
-            .param("index_policy", Json::str(self.config.index.to_string()))
             .param("host_cpus", Json::UInt(self.host_cpus as u64))
             .axis(
                 "threads",
@@ -379,7 +373,7 @@ pub fn verify_batch_identity(config: &ThroughputConfig) -> Vec<String> {
     let queries = WorkloadSpec::new(WorkloadKind::Random, config.n, config.queries, config.seed)
         .with_selectivity((config.n / 1_000).max(10))
         .generate();
-    let crack_config = CrackConfig::default().with_index(config.index);
+    let crack_config = CrackConfig::default();
     let mut failures = Vec::new();
     for threads in IDENTITY_SWEEP {
         let build = || {
@@ -416,7 +410,6 @@ mod tests {
             samples: 1,
             threads: vec![1, 2],
             seed: 7,
-            index: IndexPolicy::default(),
         }
     }
 

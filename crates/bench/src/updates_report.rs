@@ -26,7 +26,7 @@
 //! merge-ripple. CI runs `--smoke --check` as a coverage gate (cells
 //! only; never a perf threshold on shared runners).
 
-use scrack_core::{EngineKind, IndexPolicy, UpdatePolicy};
+use scrack_core::{EngineKind, UpdatePolicy};
 use scrack_parallel::{BatchOp, BatchScheduler, ParallelStrategy};
 use scrack_updates::build_update_engine;
 use scrack_workloads::data::unique_permutation;
@@ -57,8 +57,6 @@ pub struct UpdatesConfig {
     pub batch: usize,
     /// RNG seed for data and workloads.
     pub seed: u64,
-    /// Cracker-index representation the engines run on.
-    pub index: IndexPolicy,
 }
 
 impl Default for UpdatesConfig {
@@ -71,7 +69,6 @@ impl Default for UpdatesConfig {
             threads: vec![1, 2, 4],
             batch: 256,
             seed: 0xBE7C,
-            index: IndexPolicy::default(),
         }
     }
 }
@@ -179,9 +176,7 @@ fn run_once(
     ops: &[MixedOp],
     cfg: &UpdatesConfig,
 ) -> (f64, u64) {
-    let config = scrack_core::CrackConfig::default()
-        .with_index(cfg.index)
-        .with_update(policy);
+    let config = scrack_core::CrackConfig::default().with_update(policy);
     let mut eng = build_update_engine::<u64>(engine_kind(engine), data.to_vec(), config, cfg.seed);
     let mut checksum = 0u64;
     let t0 = Instant::now();
@@ -211,7 +206,7 @@ fn run_scheduler_once(
     ops: &[BatchOp<u64>],
     cfg: &UpdatesConfig,
 ) -> f64 {
-    let config = scrack_core::CrackConfig::default().with_index(cfg.index);
+    let config = scrack_core::CrackConfig::default();
     let mut par = BatchScheduler::new(
         data.to_vec(),
         threads,
@@ -371,7 +366,6 @@ impl UpdatesReport {
         s.push_str(&format!("  \"update_rate\": {},\n", self.config.update_rate));
         s.push_str(&format!("  \"samples\": {},\n", self.config.samples));
         s.push_str(&format!("  \"batch_size\": {},\n", self.config.batch));
-        s.push_str(&format!("  \"index_policy\": \"{}\",\n", self.config.index));
         s.push_str(&format!("  \"host_cpus\": {},\n", self.host_cpus));
         let threads: Vec<String> = self.config.threads.iter().map(|t| t.to_string()).collect();
         s.push_str(&format!("  \"threads\": [{}],\n", threads.join(", ")));
@@ -449,7 +443,6 @@ mod tests {
             threads: vec![1, 2],
             batch: 32,
             seed: 7,
-            index: IndexPolicy::default(),
         }
     }
 

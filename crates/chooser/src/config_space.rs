@@ -1,10 +1,9 @@
-//! The full live-config action space: engine × kernel × index × update.
+//! The full live-config action space: engine × kernel × update.
 //!
-//! PRs 2–5 grew three orthogonal config axes next to the engine choice —
-//! [`KernelPolicy`] (branchy/branchless reorganization kernels),
-//! [`IndexPolicy`] (AVL vs flat vs radix cracker index) and [`UpdatePolicy`]
-//! (per-element vs batched merge-ripple) — and the chooser, written
-//! before any of them, could only pick among four per-query crack paths.
+//! Two orthogonal config axes sit next to the engine choice —
+//! [`KernelPolicy`] (branchy/branchless reorganization kernels) and
+//! [`UpdatePolicy`] (per-element vs batched merge-ripple). The cracker
+//! index is not an axis: every engine runs the flat index.
 //! A [`ConfigArm`] names one point of the full cross-product and a
 //! [`ConfigSpace`] is the menu a [`SelfDrivingEngine`](crate::SelfDrivingEngine)
 //! switches between online.
@@ -20,25 +19,23 @@
 //!   with both [`UpdatePolicy`]s: the arms whose §3 cost measure
 //!   actually differs, kept small enough for online exploration to
 //!   amortize.
-//! * [`ConfigSpace::full`] — the entire cross-product. Kernel and index
-//!   policies are *wall-clock* knobs (bit-identical `Stats` by
-//!   construction, pinned by the PR-2/PR-4 differential suites), so a
-//!   cost-measure-driven policy cannot rank them; the full space exists
+//! * [`ConfigSpace::full`] — the entire cross-product. The kernel
+//!   policy is a *wall-clock* knob (bit-identical `Stats` by
+//!   construction, pinned by the kernel differential suite), so a
+//!   cost-measure-driven policy cannot rank it; the full space exists
 //!   for completeness and for wall-time-driven policies.
 
-use scrack_core::{CrackConfig, EngineKind, IndexPolicy, KernelPolicy, UpdatePolicy};
+use scrack_core::{CrackConfig, EngineKind, KernelPolicy, UpdatePolicy};
 use scrack_updates::update_capable_kinds;
 
 /// One point of the live config cross-product: which engine answers
-/// queries, under which kernel, index and update policies.
+/// queries, under which kernel and update policies.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConfigArm {
     /// The cracking strategy (any update-capable factory kind).
     pub engine: EngineKind,
     /// Reorganization-kernel implementation.
     pub kernel: KernelPolicy,
-    /// Cracker-index representation.
-    pub index: IndexPolicy,
     /// Pending-update merge strategy.
     pub update: UpdatePolicy,
 }
@@ -49,18 +46,16 @@ impl ConfigArm {
         Self {
             engine,
             kernel: KernelPolicy::default(),
-            index: IndexPolicy::default(),
             update: UpdatePolicy::default(),
         }
     }
 
-    /// Report label, e.g. `MDD1R/auto/flat/batched`.
+    /// Report label, e.g. `MDD1R/auto/batched`.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}/{}/{}",
+            "{}/{}/{}",
             self.engine.label(),
             self.kernel.label(),
-            self.index.label(),
             self.update.label()
         )
     }
@@ -69,9 +64,7 @@ impl ConfigArm {
     /// non-policy knob (cache profile, size overrides, fault plan) from
     /// `base`.
     pub fn crack_config(&self, base: CrackConfig) -> CrackConfig {
-        base.with_kernel(self.kernel)
-            .with_index(self.index)
-            .with_update(self.update)
+        base.with_kernel(self.kernel).with_update(self.update)
     }
 }
 
@@ -132,7 +125,6 @@ impl ConfigSpace {
                 arms.push(ConfigArm {
                     engine,
                     kernel: KernelPolicy::default(),
-                    index: IndexPolicy::default(),
                     update,
                 });
             }
@@ -141,27 +133,22 @@ impl ConfigSpace {
     }
 
     /// The entire cross-product: every update-capable engine × every
-    /// kernel × every index × every update policy (18 × 3 × 3 × 2 = 324
-    /// arms).
+    /// kernel × every update policy (18 × 3 × 2 = 108 arms).
     pub fn full() -> Self {
         let kernels = [
             KernelPolicy::Branchy,
             KernelPolicy::Branchless,
             KernelPolicy::Auto,
         ];
-        let indexes = IndexPolicy::ALL;
         let mut arms = Vec::new();
         for engine in update_capable_kinds() {
             for kernel in kernels {
-                for index in indexes {
-                    for update in UpdatePolicy::ALL {
-                        arms.push(ConfigArm {
-                            engine,
-                            kernel,
-                            index,
-                            update,
-                        });
-                    }
+                for update in UpdatePolicy::ALL {
+                    arms.push(ConfigArm {
+                        engine,
+                        kernel,
+                        update,
+                    });
                 }
             }
         }
@@ -197,14 +184,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_name_all_four_axes() {
+    fn labels_name_every_axis() {
         let arm = ConfigArm {
             engine: EngineKind::Mdd1r,
             kernel: KernelPolicy::Auto,
-            index: IndexPolicy::Flat,
             update: UpdatePolicy::Batched,
         };
-        assert_eq!(arm.label(), "MDD1R/auto/flat/batched");
+        assert_eq!(arm.label(), "MDD1R/auto/batched");
     }
 
     #[test]
@@ -213,13 +199,11 @@ mod tests {
         let arm = ConfigArm {
             engine: EngineKind::Crack,
             kernel: KernelPolicy::Branchy,
-            index: IndexPolicy::Avl,
             update: UpdatePolicy::PerElement,
         };
         let cfg = arm.crack_config(base);
         assert_eq!(cfg.crack_size(8), 128, "base override survives");
         assert_eq!(cfg.kernel, KernelPolicy::Branchy);
-        assert_eq!(cfg.index, IndexPolicy::Avl);
         assert_eq!(cfg.update, UpdatePolicy::PerElement);
     }
 
@@ -238,20 +222,15 @@ mod tests {
 
     #[test]
     fn full_space_is_the_cross_product() {
-        // The index axis is pinned to the *live* variant count
-        // (`IndexPolicy::ALL`): adding a representation without
-        // registering it here — or in the dispatch sites this arithmetic
-        // transitively sweeps — fails this test instead of silently
-        // shrinking the space.
+        // The update axis is pinned to the *live* variant count
+        // (`UpdatePolicy::ALL`): adding a policy without registering it
+        // here fails this test instead of silently shrinking the space.
         let full = ConfigSpace::full();
         assert_eq!(
             full.len(),
-            update_capable_kinds().len() * 3 * IndexPolicy::ALL.len() * UpdatePolicy::ALL.len()
+            update_capable_kinds().len() * 3 * UpdatePolicy::ALL.len()
         );
-        assert!(
-            full.arms().iter().any(|a| a.index == IndexPolicy::Radix),
-            "the radix representation must be in the full space"
-        );
+        assert_eq!(full.len(), 108);
         // No duplicate arms.
         for (i, a) in full.arms().iter().enumerate() {
             assert!(
@@ -268,7 +247,6 @@ mod tests {
         assert_eq!(space.len(), 10);
         for arm in space.arms() {
             assert_eq!(arm.kernel, KernelPolicy::default());
-            assert_eq!(arm.index, IndexPolicy::default());
         }
     }
 

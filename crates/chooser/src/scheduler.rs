@@ -22,7 +22,7 @@ use crate::self_driving::{switch_seed, SwitchEvent};
 use crate::QueryContext;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use scrack_core::{CrackConfig, EngineKind, IndexPolicy, KernelPolicy, UpdatePolicy};
+use scrack_core::{CrackConfig, EngineKind, KernelPolicy, UpdatePolicy};
 use scrack_parallel::{BatchOp, BatchScheduler, ParallelStrategy};
 use scrack_types::{Element, QueryRange, Stats};
 
@@ -35,7 +35,6 @@ pub fn scheduler_space() -> ConfigSpace {
             arms.push(ConfigArm {
                 engine,
                 kernel: KernelPolicy::default(),
-                index: IndexPolicy::default(),
                 update,
             });
         }

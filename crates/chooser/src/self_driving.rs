@@ -43,8 +43,8 @@
 //!   length) instead of the stop-loss floor: a healthy arm's cold-start
 //!   spike fits under it, while a pathological arm is cut within a few
 //!   column scans.
-//! * **Observation sharing.** Kernel and index policies are wall-clock
-//!   knobs with bit-identical `Stats`, and update policies differ by a
+//! * **Observation sharing.** Kernel policies are wall-clock knobs
+//!   with bit-identical `Stats`, and update policies differ by a
 //!   couple of percent at realistic rates — below epoch-granular
 //!   resolution. Each epoch's cost observation is therefore replayed
 //!   onto every arm in the live arm's §3 cost class (same engine). A
@@ -364,8 +364,8 @@ impl<E: Element> SelfDrivingEngine<E> {
     }
 
     /// Arms in the same §3 cost class as `arm`: everything with the same
-    /// engine. Kernel and index policies are wall-clock knobs with
-    /// bit-identical `Stats` by construction, so those twins are exact.
+    /// engine. Kernel policies are wall-clock knobs with bit-identical
+    /// `Stats` by construction, so those twins are exact.
     /// Update-policy twins are exact until the first update is queued and
     /// approximate after — their cost delta at realistic update rates is
     /// a couple of percent, below what epoch-granular estimates can

@@ -225,9 +225,13 @@ proptest! {
     #[test]
     fn scripted_switching_matches_factory_hand_replay(
         ops in proptest::collection::vec(op_strategy(), 1..120),
-        script in proptest::collection::vec(0usize..180, 1..12),
+        // Wide range folded by `%` below, so every arm is reachable
+        // however large the full space is.
+        script in proptest::collection::vec(0usize..1_000, 1..12),
         seed in 0u64..1_000,
     ) {
+        let arms = ConfigSpace::full().len();
+        let script: Vec<usize> = script.iter().map(|a| a % arms).collect();
         let (answers, stats, switches) = run_self_driving(&ops, &script, seed);
         let (ref_answers, ref_stats, ref_switches) = hand_replay(&ops, &script, seed);
         prop_assert_eq!(answers, ref_answers, "answers diverged from hand-replay");

@@ -1,7 +1,6 @@
 //! Tuning knobs shared by all cracking engines.
 
 use crate::fault::FaultPlan;
-use scrack_index::IndexPolicy;
 use scrack_partition::KernelPolicy;
 use scrack_types::CacheProfile;
 
@@ -80,12 +79,6 @@ impl std::fmt::Display for UpdatePolicy {
 /// Both produce bit-identical results and cost counters, so this is a
 /// pure wall-clock knob; the default `Auto` takes the branchless path for
 /// pieces past `scrack_partition::AUTO_BRANCHLESS_THRESHOLD`.
-///
-/// The **index policy** selects the cracker-index representation the
-/// engines navigate: the cache-conscious flat sorted-array directory
-/// (default) or the paper's AVL tree, kept for differential testing.
-/// Like the kernel policy, this is a pure wall-clock knob — crack
-/// boundaries, piece metadata and `Stats` are bit-identical under both.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CrackConfig {
     /// Cache sizes the defaults are derived from.
@@ -96,8 +89,6 @@ pub struct CrackConfig {
     pub progressive_threshold_override: Option<usize>,
     /// Which reorganization-kernel implementation the engines run.
     pub kernel: KernelPolicy,
-    /// Which cracker-index representation the engines navigate.
-    pub index: IndexPolicy,
     /// How pending updates merge into the column (see [`UpdatePolicy`]).
     pub update: UpdatePolicy,
     /// Planned fault injection (disabled by default; see
@@ -139,12 +130,6 @@ impl CrackConfig {
         self
     }
 
-    /// Convenience: a config with an explicit index policy.
-    pub fn with_index(mut self, index: IndexPolicy) -> Self {
-        self.index = index;
-        self
-    }
-
     /// Convenience: a config with an explicit update policy.
     pub fn with_update(mut self, update: UpdatePolicy) -> Self {
         self.update = update;
@@ -183,13 +168,6 @@ mod tests {
         assert_eq!(CrackConfig::default().kernel, KernelPolicy::Auto);
         let c = CrackConfig::default().with_kernel(KernelPolicy::Branchless);
         assert_eq!(c.kernel, KernelPolicy::Branchless);
-    }
-
-    #[test]
-    fn index_policy_defaults_to_flat_and_overrides() {
-        assert_eq!(CrackConfig::default().index, IndexPolicy::Flat);
-        let c = CrackConfig::default().with_index(IndexPolicy::Avl);
-        assert_eq!(c.index, IndexPolicy::Avl);
     }
 
     #[test]

@@ -55,10 +55,10 @@ pub struct CrackedColumn<E: Element> {
 }
 
 impl<E: Element> CrackedColumn<E> {
-    /// Takes ownership of `data` as a single uncracked piece; the cracker
-    /// index runs on `config.index`'s representation.
+    /// Takes ownership of `data` as a single uncracked piece, indexed by
+    /// the flat cracker index.
     pub fn new(data: Vec<E>, config: CrackConfig) -> Self {
-        let index = CrackerIndex::with_policy(data.len(), config.index);
+        let index = CrackerIndex::new(data.len());
         Self {
             data,
             index,

@@ -52,9 +52,8 @@ mod selective;
 
 pub use baseline::{ScanEngine, SortEngine};
 pub use config::{CrackConfig, UpdatePolicy};
-// Re-exported so engine construction sites can name the kernel and index
-// policies without depending on the substrate crates directly.
-pub use scrack_index::IndexPolicy;
+// Re-exported so engine construction sites can name the kernel policy
+// without depending on the substrate crate directly.
 pub use scrack_partition::KernelPolicy;
 pub use cracked::CrackedColumn;
 pub use engine::Engine;

@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [FIGURES...] [--n N] [--queries Q] [--seed S]
 //!             [--out DIR] [--verify] [--quick]
-//!             [--kernel branchy|branchless|auto] [--index avl|flat|radix]
+//!             [--kernel branchy|branchless|auto]
 //!             [--update per-element|batched]
 //!             [--threads N,N,...] [--batch B]
 //!
@@ -13,8 +13,12 @@
 //! --quick: N=10^5, Q=10^3 — smoke-test scale
 //! --threads/--batch: the ext-parallel concurrency sweep's thread counts
 //!                    and BatchScheduler batch size
+//!
+//! exit codes: 0 ok, 2 usage error (unknown argument, or a flag value
+//!             that is missing or malformed)
 //! ```
 
+use scrack_experiments::cli::{list_of, parse_of, value_of};
 use scrack_experiments::figures;
 use scrack_experiments::ExpConfig;
 use std::io::Write as _;
@@ -28,19 +32,19 @@ fn main() {
         match args[i].as_str() {
             "--n" => {
                 i += 1;
-                cfg.n = args[i].parse().expect("--n takes an integer");
+                cfg.n = parse_of(&args, i, "--n");
             }
             "--queries" | "-q" => {
                 i += 1;
-                cfg.queries = args[i].parse().expect("--queries takes an integer");
+                cfg.queries = parse_of(&args, i, "--queries");
             }
             "--seed" => {
                 i += 1;
-                cfg.seed = args[i].parse().expect("--seed takes an integer");
+                cfg.seed = parse_of(&args, i, "--seed");
             }
             "--out" => {
                 i += 1;
-                cfg.out_dir = Some(args[i].clone().into());
+                cfg.out_dir = Some(value_of(&args, i, "--out").into());
             }
             "--verify" => cfg.verify = true,
             "--quick" => {
@@ -49,28 +53,15 @@ fn main() {
             }
             "--kernel" => {
                 i += 1;
-                cfg.kernel = scrack_core::KernelPolicy::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!("--kernel takes branchy|branchless|auto, got {}", args[i]);
-                    std::process::exit(2);
-                });
-            }
-            "--index" => {
-                i += 1;
-                let value = args.get(i).map(String::as_str).unwrap_or_else(|| {
-                    eprintln!("--index requires a value (avl|flat|radix)");
-                    std::process::exit(2);
-                });
-                cfg.index = scrack_core::IndexPolicy::parse(value).unwrap_or_else(|| {
-                    eprintln!("--index takes avl|flat|radix, got {value}");
+                let value = value_of(&args, i, "--kernel");
+                cfg.kernel = scrack_core::KernelPolicy::parse(value).unwrap_or_else(|| {
+                    eprintln!("--kernel takes branchy|branchless|auto, got {value}");
                     std::process::exit(2);
                 });
             }
             "--update" => {
                 i += 1;
-                let value = args.get(i).map(String::as_str).unwrap_or_else(|| {
-                    eprintln!("--update requires a value (per-element|batched)");
-                    std::process::exit(2);
-                });
+                let value = value_of(&args, i, "--update");
                 cfg.update = scrack_core::UpdatePolicy::parse(value).unwrap_or_else(|| {
                     eprintln!("--update takes per-element|batched, got {value}");
                     std::process::exit(2);
@@ -78,15 +69,11 @@ fn main() {
             }
             "--threads" => {
                 i += 1;
-                cfg.threads = args[i]
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads takes integers"))
-                    .collect();
-                assert!(!cfg.threads.is_empty(), "--threads needs at least one count");
+                cfg.threads = list_of(&args, i, "--threads");
             }
             "--batch" => {
                 i += 1;
-                cfg.batch = args[i].parse().expect("--batch takes an integer");
+                cfg.batch = parse_of(&args, i, "--batch");
             }
             "--help" | "-h" => {
                 eprintln!(
@@ -94,7 +81,7 @@ fn main() {
                      ext-io|ext-chooser|ext-parallel|ext-resilience|all]... \
                      [--n N] [--queries Q] [--seed S] [--out DIR] \
                      [--verify] [--quick] [--kernel branchy|branchless|auto] \
-                     [--index avl|flat|radix] [--update per-element|batched] \
+                     [--update per-element|batched] \
                      [--threads N,N,...] [--batch B]"
                 );
                 return;
@@ -127,8 +114,8 @@ fn main() {
         lock,
         "# Stochastic Database Cracking — experiment run\n\n\
          Reproduction of Halim et al., VLDB 2012. Scale: N={}, Q={}, \
-         seed={}, verify={}, kernel={}, index={}, update={}.\n",
-        cfg.n, cfg.queries, cfg.seed, cfg.verify, cfg.kernel, cfg.index, cfg.update
+         seed={}, verify={}, kernel={}, update={}.\n",
+        cfg.n, cfg.queries, cfg.seed, cfg.verify, cfg.kernel, cfg.update
     );
     for fig in &figures_wanted {
         let t0 = std::time::Instant::now();

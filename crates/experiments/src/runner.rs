@@ -1,6 +1,6 @@
 //! Timed query-sequence execution.
 
-use scrack_core::{CrackConfig, Engine, IndexPolicy, KernelPolicy, Oracle, UpdatePolicy};
+use scrack_core::{CrackConfig, Engine, KernelPolicy, Oracle, UpdatePolicy};
 use scrack_types::{Element, QueryRange, Stats};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -25,10 +25,6 @@ pub struct ExpConfig {
     /// every policy; per-query wall-clock differs, so figures can be
     /// regenerated per kernel and compared.
     pub kernel: KernelPolicy,
-    /// Cracker-index representation the engines navigate
-    /// (`--index avl|flat|radix`). Like the kernel policy, a pure
-    /// wall-clock knob: results are bit-identical under all three.
-    pub index: IndexPolicy,
     /// How the update experiments merge pending updates
     /// (`--update per-element|batched`). Answers are bit-identical under
     /// both; per-query wall-clock differs (the merge-ripple's point).
@@ -49,7 +45,6 @@ impl Default for ExpConfig {
             out_dir: None,
             verify: false,
             kernel: KernelPolicy::default(),
-            index: IndexPolicy::default(),
             update: UpdatePolicy::default(),
             threads: vec![1, 2, 4],
             batch: 256,
@@ -59,12 +54,11 @@ impl Default for ExpConfig {
 
 impl ExpConfig {
     /// The engine configuration every figure builds on: defaults plus
-    /// this run's kernel and index policies. Figure-specific overrides
+    /// this run's kernel and update policies. Figure-specific overrides
     /// (Fig. 8's crack-size sweep, …) chain on top.
     pub fn crack_config(&self) -> CrackConfig {
         CrackConfig::default()
             .with_kernel(self.kernel)
-            .with_index(self.index)
             .with_update(self.update)
     }
 

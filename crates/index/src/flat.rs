@@ -19,8 +19,8 @@
 //!   here: its loads form a serial dependency chain, while the branchy
 //!   search speculates — the CPU issues the probable next load before
 //!   the compare resolves, which at binary-search branch entropy still
-//!   wins decisively on out-of-order cores ([`count_le`] keeps both; the
-//!   predicated twin survives as [`count_le_predicated`] for A/B runs).
+//!   wins decisively on out-of-order cores. [`count_le`] is therefore the
+//!   only variant kept.
 //! * **Delta buffer.** A plain sorted array pays an `O(n)` tail
 //!   `memmove` per insert — at the ~20k cracks a 10k-query sequence
 //!   creates, that is ~200 KB per crack and dominates random-workload
@@ -63,21 +63,6 @@ pub const DELTA_CAP: usize = 256;
 #[inline]
 pub fn count_le(a: &[u64], probe: u64) -> usize {
     a.partition_point(|k| *k <= probe)
-}
-
-/// The predicated (conditional-move) twin of [`count_le`]: the classic
-/// multiplicative branch-free binary search. Kept for differential
-/// testing and A/B measurement; the hot paths use [`count_le`].
-#[inline]
-pub fn count_le_predicated(a: &[u64], probe: u64) -> usize {
-    let mut off = 0usize;
-    let mut n = a.len();
-    while n > 1 {
-        let half = n / 2;
-        off += usize::from(a[off + half - 1] <= probe) * half;
-        n -= half;
-    }
-    off + usize::from(n == 1 && a[off] <= probe)
 }
 
 #[derive(Debug, Clone)]
@@ -568,11 +553,10 @@ mod tests {
         for probe in 0..20u64 {
             let expect = a.partition_point(|x| *x <= probe);
             assert_eq!(count_le(&a, probe), expect, "probe {probe}");
-            assert_eq!(count_le_predicated(&a, probe), expect, "predicated {probe}");
         }
         for a in [vec![], vec![3u64]] {
             for probe in [0u64, 2, 3, 4, u64::MAX] {
-                assert_eq!(count_le(&a, probe), count_le_predicated(&a, probe));
+                assert_eq!(count_le(&a, probe), a.partition_point(|x| *x <= probe));
             }
         }
     }

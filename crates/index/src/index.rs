@@ -2,28 +2,24 @@
 
 use crate::avl::{AscIter, AvlTree, IdIter, NodeId};
 use crate::flat::{FlatAscIter, FlatIndex, FlatTripleIter};
-use crate::radix::{RadixAscIter, RadixIndex, RadixTripleIter};
 
 /// Which physical representation a [`CrackerIndex`] runs on.
 ///
-/// All representations expose the identical piece semantics and produce
-/// bit-identical crack boundaries, piece metadata and engine `Stats` (a
-/// contract pinned by the cross-policy property tests); the policy is a
-/// pure wall-clock knob:
+/// Both representations expose the identical piece semantics and produce
+/// bit-identical crack boundaries and piece metadata (pinned by the
+/// index-layer differential property test in `tests/prop.rs`). The
+/// engines always build the default; the policy exists so tests and the
+/// piece-lookup microbenchmark can run the AVL reference beside it:
 ///
 /// * [`IndexPolicy::Flat`] (the default) — two parallel sorted arrays
 ///   (`keys`, `pos`) plus an arena of per-crack metadata, searched with a
-///   branch-free binary search. Lookups touch a handful of contiguous
-///   cache lines; inserts shift array tails (`memmove` of dense words).
+///   lower-bound binary search. Lookups touch a handful of contiguous
+///   cache lines; inserts land in a small sorted delta buffer.
 ///   Fastest once cracking converges, which is exactly when index
 ///   navigation dominates per-query latency.
 /// * [`IndexPolicy::Avl`] — the paper's AVL tree ("original cracking
 ///   uses AVL-trees", §3). `O(log n)` pointer-chasing everywhere; kept
 ///   as the reference representation for differential testing.
-/// * [`IndexPolicy::Radix`] — a path-compressed 16-ary radix trie (after
-///   the ART-cracking study of Wu et al.): `O(min(16, log16 n))` descent
-///   bounded by the key length, so lookup cost stops growing with the
-///   crack count, and handle dereferences are single arena loads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IndexPolicy {
     /// The arena-based AVL tree (the paper's structure).
@@ -31,8 +27,6 @@ pub enum IndexPolicy {
     /// The cache-conscious flat sorted-array directory.
     #[default]
     Flat,
-    /// The path-compressed radix trie (key-length-bounded descent).
-    Radix,
 }
 
 impl IndexPolicy {
@@ -41,7 +35,6 @@ impl IndexPolicy {
         match self {
             IndexPolicy::Avl => "avl",
             IndexPolicy::Flat => "flat",
-            IndexPolicy::Radix => "radix",
         }
     }
 
@@ -50,13 +43,12 @@ impl IndexPolicy {
         match s.to_ascii_lowercase().as_str() {
             "avl" => Some(IndexPolicy::Avl),
             "flat" => Some(IndexPolicy::Flat),
-            "radix" => Some(IndexPolicy::Radix),
             _ => None,
         }
     }
 
-    /// Every policy, for sweeps and differential tests.
-    pub const ALL: [IndexPolicy; 3] = [IndexPolicy::Avl, IndexPolicy::Flat, IndexPolicy::Radix];
+    /// Both policies, for differential tests and the lookup microbenchmark.
+    pub const ALL: [IndexPolicy; 2] = [IndexPolicy::Avl, IndexPolicy::Flat];
 }
 
 impl std::fmt::Display for IndexPolicy {
@@ -125,7 +117,6 @@ impl Piece {
 enum Repr<M> {
     Avl(AvlTree<M>),
     Flat(FlatIndex<M>),
-    Radix(RadixIndex<M>),
 }
 
 /// The cracker index: crack values mapped to positions, seen as pieces.
@@ -177,7 +168,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         let repr = match policy {
             IndexPolicy::Avl => Repr::Avl(AvlTree::new()),
             IndexPolicy::Flat => Repr::Flat(FlatIndex::new()),
-            IndexPolicy::Radix => Repr::Radix(RadixIndex::new()),
         };
         Self {
             repr,
@@ -191,7 +181,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(_) => IndexPolicy::Avl,
             Repr::Flat(_) => IndexPolicy::Flat,
-            Repr::Radix(_) => IndexPolicy::Radix,
         }
     }
 
@@ -201,7 +190,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.len(),
             Repr::Flat(f) => f.len(),
-            Repr::Radix(r) => r.len(),
         }
     }
 
@@ -229,7 +217,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &mut self.repr {
             Repr::Avl(t) => t.clear(),
             Repr::Flat(f) => f.clear(),
-            Repr::Radix(r) => r.clear(),
         }
         self.head_meta = M::default();
     }
@@ -266,17 +253,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
                     right_crack: succ.map(|(_, _, id)| id),
                 }
             }
-            Repr::Radix(r) => {
-                let (pred, succ) = r.neighbors(key);
-                Piece {
-                    start: pred.map_or(0, |(_, p, _)| p),
-                    end: succ.map_or(self.column_len, |(_, p, _)| p),
-                    lo_key: pred.map(|(k, _, _)| k),
-                    hi_key: succ.map(|(k, _, _)| k),
-                    left_crack: pred.map(|(_, _, id)| id),
-                    right_crack: succ.map(|(_, _, id)| id),
-                }
-            }
         };
         // O(1) sanity only — the O(n) monotonicity walk must never run
         // here, even in debug builds (this is the hottest index path).
@@ -302,7 +278,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         let (id, fresh) = match &mut self.repr {
             Repr::Avl(t) => t.insert(key, pos, parent_meta),
             Repr::Flat(f) => f.insert(key, pos, parent_meta),
-            Repr::Radix(r) => r.insert(key, pos, parent_meta),
         };
         if fresh {
             // O(1) neighbor check (not the O(n) full walk): the fresh
@@ -351,7 +326,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.key(id),
             Repr::Flat(f) => f.key(id),
-            Repr::Radix(r) => r.key(id),
         }
     }
 
@@ -361,7 +335,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.pos(id),
             Repr::Flat(f) => f.pos(id),
-            Repr::Radix(r) => r.pos(id),
         }
     }
 
@@ -376,7 +349,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &mut self.repr {
             Repr::Avl(t) => t.set_pos(id, pos),
             Repr::Flat(f) => f.set_pos(id, pos),
-            Repr::Radix(r) => r.set_pos(id, pos),
         }
     }
 
@@ -386,7 +358,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.meta(id),
             Repr::Flat(f) => f.meta(id),
-            Repr::Radix(r) => r.meta(id),
         }
     }
 
@@ -396,7 +367,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &mut self.repr {
             Repr::Avl(t) => t.meta_mut(id),
             Repr::Flat(f) => f.meta_mut(id),
-            Repr::Radix(r) => r.meta_mut(id),
         }
     }
 
@@ -406,7 +376,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.find(key),
             Repr::Flat(f) => f.find(key),
-            Repr::Radix(r) => r.find(key),
         }
     }
 
@@ -416,7 +385,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.predecessor_or_equal(key),
             Repr::Flat(f) => f.predecessor_or_equal(key),
-            Repr::Radix(r) => r.predecessor_or_equal(key),
         }
     }
 
@@ -426,7 +394,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.predecessor_strict(key),
             Repr::Flat(f) => f.predecessor_strict(key),
-            Repr::Radix(r) => r.predecessor_strict(key),
         }
     }
 
@@ -436,7 +403,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.successor_strict(key),
             Repr::Flat(f) => f.successor_strict(key),
-            Repr::Radix(r) => r.successor_strict(key),
         }
     }
 
@@ -446,7 +412,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.min(),
             Repr::Flat(f) => f.min(),
-            Repr::Radix(r) => r.min(),
         }
     }
 
@@ -456,7 +421,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
         match &self.repr {
             Repr::Avl(t) => t.max(),
             Repr::Flat(f) => f.max(),
-            Repr::Radix(r) => r.max(),
         }
     }
 
@@ -470,7 +434,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
             inner: match &self.repr {
                 Repr::Avl(t) => CrackIterRepr::Avl(t.iter_asc()),
                 Repr::Flat(f) => CrackIterRepr::Flat(f.iter_asc()),
-                Repr::Radix(r) => CrackIterRepr::Radix(r.iter_asc()),
             },
         }
     }
@@ -487,7 +450,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
             cracks: match &self.repr {
                 Repr::Avl(t) => TripleIter::Avl(t, t.iter_ids()),
                 Repr::Flat(f) => TripleIter::Flat(f.iter_triples()),
-                Repr::Radix(r) => TripleIter::Radix(r.iter_triples()),
             },
             column_len: self.column_len,
             prev: None,
@@ -505,11 +467,10 @@ impl<M: PieceMeta> CrackerIndex<M> {
     /// The crack directory as two parallel sorted arrays
     /// `(crack_keys, crack_positions)`, ascending in key.
     ///
-    /// This is the export used by snapshot publication (the epoch-style
-    /// read path of `scrack-parallel`): an immutable copy of exactly the
-    /// metadata a reader needs to resolve a view — binary-searchable,
-    /// representation-independent, and detached from the live index so
-    /// later cracks cannot invalidate it.
+    /// A representation-independent copy of the crack set, detached from
+    /// the live index. The benchmark's insert replay uses it to rebuild a
+    /// fresh index from a converged one and to check that the rebuild
+    /// holds the same cracks.
     pub fn crack_arrays(&self) -> (Vec<u64>, Vec<usize>) {
         let n = self.crack_count();
         let (mut keys, mut positions) = (Vec::with_capacity(n), Vec::with_capacity(n));
@@ -537,7 +498,6 @@ impl<M: PieceMeta> CrackerIndex<M> {
 enum CrackIterRepr<'a, M> {
     Avl(AscIter<'a, M>),
     Flat(FlatAscIter<'a, M>),
-    Radix(RadixAscIter<'a, M>),
 }
 
 /// Ascending crack iterator, see [`CrackerIndex::iter_cracks`].
@@ -552,7 +512,6 @@ impl<'a, M> Iterator for CrackIter<'a, M> {
         match &mut self.inner {
             CrackIterRepr::Avl(it) => it.next(),
             CrackIterRepr::Flat(it) => it.next(),
-            CrackIterRepr::Radix(it) => it.next(),
         }
     }
 }
@@ -561,7 +520,6 @@ impl<'a, M> Iterator for CrackIter<'a, M> {
 enum TripleIter<'a, M> {
     Avl(&'a AvlTree<M>, IdIter<'a, M>),
     Flat(FlatTripleIter<'a, M>),
-    Radix(RadixTripleIter<'a, M>),
 }
 
 impl<M> TripleIter<'_, M> {
@@ -572,7 +530,6 @@ impl<M> TripleIter<'_, M> {
                 Some((tree.key(id), tree.pos(id), id))
             }
             TripleIter::Flat(triples) => triples.next(),
-            TripleIter::Radix(triples) => triples.next(),
         }
     }
 }
@@ -856,9 +813,9 @@ mod tests {
 
     #[test]
     fn cross_policy_piece_equivalence_on_random_cracks() {
-        // The structural core of the cross-policy contract, three-way:
-        // identical cracks in, identical pieces out — for every probe
-        // key, under every representation.
+        // The structural core of the cross-policy contract: identical
+        // cracks in, identical pieces out — for every probe key, under
+        // both representations.
         let mut indexes: Vec<CrackerIndex<()>> = IndexPolicy::ALL
             .iter()
             .map(|p| CrackerIndex::with_policy(10_000, *p))

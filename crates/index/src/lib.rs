@@ -6,23 +6,20 @@
 //!
 //! * [`CrackerIndex`] — the piece-oriented view: given a key, find the
 //!   piece `[start, end)` of the column that can contain it, together
-//!   with the piece's value bounds and metadata. The physical
-//!   representation is selected by [`IndexPolicy`];
+//!   with the piece's value bounds and metadata. The engines always run
+//!   it on the flat representation; [`IndexPolicy`] selects the AVL tree
+//!   for differential tests and the piece-lookup microbenchmark;
 //! * [`AvlTree`] — the paper's structure: a from-scratch, arena-based AVL
-//!   tree mapping crack values (`u64`) to array positions;
-//! * [`FlatIndex`] — the cache-conscious default: crack keys and
-//!   positions in sorted parallel arrays (with a small insert-absorbing
-//!   delta buffer), lower-bound searched over contiguous memory,
-//!   metadata in a stable arena;
-//! * [`RadixIndex`] — a path-compressed 16-ary radix trie (after the
-//!   ART-cracking study of Wu et al.): `O(min(16, log16 n))` lookups
-//!   independent of the crack count, free key-space midpoints for the
-//!   data-driven engine family.
+//!   tree mapping crack values (`u64`) to array positions, kept as the
+//!   reference the flat index is tested against;
+//! * [`FlatIndex`] — the cache-conscious production index: crack keys
+//!   and positions in sorted parallel arrays (with a small
+//!   insert-absorbing delta buffer), lower-bound searched over
+//!   contiguous memory, metadata in a stable arena.
 //!
-//! All three representations produce bit-identical piece semantics; the
-//! flat one wins on lookup locality at low-to-mid crack counts, the
-//! radix trie once crack counts grow past the point where binary-search
-//! depth dominates.
+//! Both representations produce bit-identical piece semantics (pinned by
+//! the index-layer differential property test); the flat one wins on
+//! lookup locality at every measured crack count.
 //!
 //! A crack `(v, p)` asserts: positions `< p` hold keys `< v`, positions
 //! `>= p` hold keys `>= v`. Pieces are the gaps between consecutive cracks.
@@ -36,9 +33,7 @@
 mod avl;
 mod flat;
 mod index;
-mod radix;
 
 pub use avl::{AscIter, AvlTree, IdIter, NodeId};
-pub use flat::{count_le, count_le_predicated, FlatAscIter, FlatIndex, FlatTripleIter, DELTA_CAP};
+pub use flat::{count_le, FlatAscIter, FlatIndex, FlatTripleIter, DELTA_CAP};
 pub use index::{CrackIter, CrackerIndex, IndexPolicy, Piece, PieceIter, PieceMeta};
-pub use radix::{RadixAscIter, RadixIndex, RadixTripleIter};

@@ -17,7 +17,7 @@
 //!    same regions — piece locks partition the work, so per-region cost
 //!    is interleaving-invariant.
 
-use scrack_core::{CrackConfig, IndexPolicy, KernelPolicy, UpdatePolicy};
+use scrack_core::{CrackConfig, KernelPolicy, UpdatePolicy};
 use scrack_parallel::{BatchOp, BatchScheduler, ParallelStrategy, PieceLockedCracker};
 use scrack_types::{QueryRange, Stats};
 use std::sync::Arc;
@@ -65,37 +65,34 @@ fn mixed_batch(lo: u64, hi: u64, count: usize, salt: u64) -> Vec<QueryRange> {
 }
 
 const POLICIES: [KernelPolicy; 2] = [KernelPolicy::Branchy, KernelPolicy::Branchless];
-const INDEXES: [IndexPolicy; 3] = IndexPolicy::ALL;
 
 #[test]
 fn batch_scheduler_threads_match_serial_replay_bitwise() {
     let n = 40_000u64;
     let data = column(n);
     for kernel in POLICIES {
-        for index in INDEXES {
-            for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-                let config = CrackConfig::default().with_kernel(kernel).with_index(index);
-                let mut threaded = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-                let mut serial = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-                for round in 0..5u64 {
-                    let batch = mixed_batch(0, n, 80, round);
-                    let got = threaded.execute(&batch);
-                    assert_eq!(
-                        got,
-                        serial.execute_serial(&batch),
-                        "{kernel:?}/{index}/{strategy:?} round {round}: answers diverged"
-                    );
-                    for (qi, q) in batch.iter().enumerate() {
-                        assert_eq!(got[qi], oracle(&data, *q), "round {round} query {qi}");
-                    }
-                }
+        for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
+            let config = CrackConfig::default().with_kernel(kernel);
+            let mut threaded = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
+            let mut serial = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
+            for round in 0..5u64 {
+                let batch = mixed_batch(0, n, 80, round);
+                let got = threaded.execute(&batch);
                 assert_eq!(
-                    threaded.stats(),
-                    serial.stats(),
-                    "{kernel:?}/{index}/{strategy:?}: Stats must be bit-identical"
+                    got,
+                    serial.execute_serial(&batch),
+                    "{kernel:?}/{strategy:?} round {round}: answers diverged"
                 );
-                threaded.check_integrity().unwrap();
+                for (qi, q) in batch.iter().enumerate() {
+                    assert_eq!(got[qi], oracle(&data, *q), "round {round} query {qi}");
+                }
             }
+            assert_eq!(
+                threaded.stats(),
+                serial.stats(),
+                "{kernel:?}/{strategy:?}: Stats must be bit-identical"
+            );
+            threaded.check_integrity().unwrap();
         }
     }
 }
@@ -125,36 +122,33 @@ fn batch_scheduler_mixed_ops_match_serial_replay_bitwise() {
     // The mixed read/write extension of the pillar above: interleaved
     // inserts/deletes/selects, threaded vs serial, must be bit-identical
     // in answers, Stats, and leftover pending updates — under both
-    // kernel policies, both index policies, and both update policies.
+    // kernel policies and both update policies.
     let n = 30_000u64;
     let data = column(n);
     for kernel in POLICIES {
-        for index in INDEXES {
-            for update in UpdatePolicy::ALL {
-                let config = CrackConfig::default()
-                    .with_kernel(kernel)
-                    .with_index(index)
-                    .with_update(update);
-                let strategy = ParallelStrategy::Stochastic;
-                let mut threaded = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-                let mut serial = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-                for round in 0..4u64 {
-                    let ops = mixed_op_batch(n, 64, round);
-                    assert_eq!(
-                        threaded.execute_ops(&ops),
-                        serial.execute_ops_serial(&ops),
-                        "{kernel:?}/{index}/{update} round {round}: answers diverged"
-                    );
-                }
+        for update in UpdatePolicy::ALL {
+            let config = CrackConfig::default()
+                .with_kernel(kernel)
+                .with_update(update);
+            let strategy = ParallelStrategy::Stochastic;
+            let mut threaded = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
+            let mut serial = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
+            for round in 0..4u64 {
+                let ops = mixed_op_batch(n, 64, round);
                 assert_eq!(
-                    threaded.stats(),
-                    serial.stats(),
-                    "{kernel:?}/{index}/{update}: Stats must be bit-identical"
+                    threaded.execute_ops(&ops),
+                    serial.execute_ops_serial(&ops),
+                    "{kernel:?}/{update} round {round}: answers diverged"
                 );
-                assert_eq!(threaded.pending_updates(), serial.pending_updates());
-                threaded.flush_updates();
-                threaded.check_integrity().unwrap();
             }
+            assert_eq!(
+                threaded.stats(),
+                serial.stats(),
+                "{kernel:?}/{update}: Stats must be bit-identical"
+            );
+            assert_eq!(threaded.pending_updates(), serial.pending_updates());
+            threaded.flush_updates();
+            threaded.check_integrity().unwrap();
         }
     }
 }
@@ -179,42 +173,6 @@ fn batch_scheduler_mixed_ops_answers_are_update_policy_invariant() {
         runs.push(answers);
     }
     assert_eq!(runs[0], runs[1], "answers diverged across update policies");
-}
-
-#[test]
-fn batch_scheduler_stats_are_index_policy_invariant() {
-    // The PR-4 contract lifted to the concurrent layer: the same batched
-    // run under `Avl`, `Flat` and `Radix` must produce bit-identical
-    // answers AND bit-identical Stats — the index representation is a
-    // pure wall-clock knob even across threads.
-    let n = 30_000u64;
-    let data = column(n);
-    for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-        let mut runs = Vec::new();
-        for index in INDEXES {
-            let config = CrackConfig::default().with_index(index);
-            let mut sched = BatchScheduler::new(data.clone(), 4, strategy, config, SEED);
-            let mut answers = Vec::new();
-            for round in 0..4u64 {
-                let batch = mixed_batch(0, n, 64, round);
-                answers.push(sched.execute(&batch));
-            }
-            sched.check_integrity().unwrap();
-            runs.push((answers, sched.stats()));
-        }
-        for (i, run) in runs.iter().enumerate().skip(1) {
-            assert_eq!(
-                runs[0].0, run.0,
-                "{strategy:?}/{}: answers diverged across index policies",
-                INDEXES[i]
-            );
-            assert_eq!(
-                runs[0].1, run.1,
-                "{strategy:?}/{}: Stats diverged across index policies",
-                INDEXES[i]
-            );
-        }
-    }
 }
 
 #[test]

@@ -9,16 +9,16 @@
 //!   exactly the outcome (including the committed epoch) the model
 //!   predicts from first-committer-wins validation;
 //! * **config invariance** — the same schedule produces bit-identical
-//!   answer traces across both cracking strategies and every
-//!   `IndexPolicy` × `UpdatePolicy` combination, with `check_integrity`
-//!   and a drained lock table after every schedule;
+//!   answer traces across both cracking strategies and both
+//!   `UpdatePolicy` values, with `check_integrity` and a drained lock
+//!   table after every schedule;
 //! * **serial equivalence** — replaying the oracle's committed history,
 //!   in epoch order, through every update-capable factory engine yields
 //!   the same final answers as a fresh transactional session, tying the
 //!   session layer to the single-threaded update path.
 
 use proptest::prelude::*;
-use scrack_core::{CrackConfig, Engine, IndexPolicy, UpdatePolicy};
+use scrack_core::{CrackConfig, Engine, UpdatePolicy};
 use scrack_parallel::{ParallelStrategy, ServingConfig};
 use scrack_txn::{Session, TxnManager, TxnOutcome};
 use scrack_types::QueryRange;
@@ -181,11 +181,10 @@ fn column(salt: u64) -> Vec<u64> {
     data
 }
 
-fn config(index: IndexPolicy, update: UpdatePolicy) -> CrackConfig {
+fn config(update: UpdatePolicy) -> CrackConfig {
     CrackConfig::default()
         .with_crack_size(64)
         .with_progressive_threshold(256)
-        .with_index(index)
         .with_update(update)
 }
 
@@ -204,7 +203,6 @@ fn run_schedule(
     steps: &[(usize, Op)],
     seed: u64,
     strategy: ParallelStrategy,
-    index: IndexPolicy,
     update: UpdatePolicy,
 ) -> (Vec<(usize, u64)>, Oracle) {
     let data = column(seed);
@@ -213,14 +211,14 @@ fn run_schedule(
         data,
         3,
         strategy,
-        config(index, update),
+        config(update),
         ServingConfig::default(),
         seed,
     );
     let mut live: HashMap<usize, (Session<u64>, OracleSession)> = HashMap::new();
     let mut locked: HashMap<u64, usize> = HashMap::new();
     let mut answers = Vec::new();
-    let ctx = |i: usize| format!("step {i} ({strategy:?}/{index}/{update})");
+    let ctx = |i: usize| format!("step {i} ({strategy:?}/{update})");
 
     for (i, (sid, op)) in steps.iter().enumerate() {
         let sid = *sid % SESSIONS;
@@ -304,7 +302,7 @@ proptest! {
 
     /// Random interleaved schedules, full config matrix: oracle equality
     /// everywhere, plus bit-identical answer traces across strategies and
-    /// index/update policies (range aggregates are layout-independent).
+    /// update policies (range aggregates are layout-independent).
     #[test]
     fn interleaved_sessions_match_the_serial_oracle(
         steps in proptest::collection::vec((0usize..SESSIONS, op_strategy()), 1..48),
@@ -312,11 +310,9 @@ proptest! {
     ) {
         let mut traces = Vec::new();
         for strategy in [ParallelStrategy::Crack, ParallelStrategy::Stochastic] {
-            for index in IndexPolicy::ALL {
-                for update in UpdatePolicy::ALL {
-                    let (trace, _) = run_schedule(&steps, seed, strategy, index, update);
-                    traces.push(trace);
-                }
+            for update in UpdatePolicy::ALL {
+                let (trace, _) = run_schedule(&steps, seed, strategy, update);
+                traces.push(trace);
             }
         }
         for t in &traces[1..] {
@@ -333,8 +329,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let (_, oracle) = run_schedule(
-            &steps, seed, ParallelStrategy::Stochastic,
-            IndexPolicy::default(), UpdatePolicy::default(),
+            &steps, seed, ParallelStrategy::Stochastic, UpdatePolicy::default(),
         );
         let probes = [
             QueryRange::new(0, KEY_SPAN + 1),
@@ -347,7 +342,7 @@ proptest! {
         for kind in update_capable_kinds() {
             let mut eng = build_update_engine(
                 kind, column(seed),
-                config(IndexPolicy::default(), UpdatePolicy::default()), seed,
+                config(UpdatePolicy::default()), seed,
             );
             for (_, op) in &oracle.committed {
                 match op {

@@ -1,6 +1,6 @@
-//! Differential update tests: every update-capable engine, under every
-//! `IndexPolicy` × `UpdatePolicy` combination, against a sorted-vec
-//! oracle over random interleaved query/insert/delete streams.
+//! Differential update tests: every update-capable engine, under both
+//! `UpdatePolicy` values, against a sorted-vec oracle over random
+//! interleaved query/insert/delete streams.
 //!
 //! Two layers of guarantee:
 //!
@@ -10,11 +10,10 @@
 //!   become visible to the first qualifying query);
 //! * **policy invariance** — the per-element ripple and the batched
 //!   merge-ripple produce *bit-identical answers* (count + checksum per
-//!   query) under both index representations, with `check_integrity`
-//!   holding after every step.
+//!   query), with `check_integrity` holding after every step.
 
 use proptest::prelude::*;
-use scrack_core::{CrackConfig, Engine, EngineKind, IndexPolicy, UpdatePolicy};
+use scrack_core::{CrackConfig, Engine, EngineKind, UpdatePolicy};
 use scrack_types::QueryRange;
 use scrack_updates::{build_update_engine, update_capable_kinds};
 
@@ -117,27 +116,20 @@ fn column(salt: u64) -> Vec<u64> {
     data
 }
 
-fn config(index: IndexPolicy, update: UpdatePolicy) -> CrackConfig {
+fn config(update: UpdatePolicy) -> CrackConfig {
     CrackConfig::default()
         .with_crack_size(64)
         .with_progressive_threshold(256)
-        .with_index(index)
         .with_update(update)
 }
 
 /// Replays `ops` on one engine configuration, asserting every query
 /// against the oracle and checking integrity after every step; returns
 /// the per-query `(count, checksum)` trace for cross-policy comparison.
-fn replay(
-    ops: &[Op],
-    kind: EngineKind,
-    index: IndexPolicy,
-    update: UpdatePolicy,
-    seed: u64,
-) -> Vec<(usize, u64)> {
+fn replay(ops: &[Op], kind: EngineKind, update: UpdatePolicy, seed: u64) -> Vec<(usize, u64)> {
     let data = column(seed);
     let mut model = Model::new(&data);
-    let mut eng = build_update_engine(kind, data, config(index, update), seed);
+    let mut eng = build_update_engine(kind, data, config(update), seed);
     let mut answers = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         match *op {
@@ -148,7 +140,7 @@ fn replay(
                 let want = model.query(q);
                 assert_eq!(
                     got, want,
-                    "{} / {index} / {update}: step {i} query {q} wrong",
+                    "{} / {update}: step {i} query {q} wrong",
                     eng.name()
                 );
                 answers.push(got);
@@ -163,7 +155,7 @@ fn replay(
             }
         }
         eng.check_integrity()
-            .unwrap_or_else(|e| panic!("{kind:?} / {index} / {update}: step {i}: {e}"));
+            .unwrap_or_else(|e| panic!("{kind:?} / {update}: step {i}: {e}"));
     }
     answers
 }
@@ -172,22 +164,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The full differential matrix on the paper's two headline engines:
-    /// random interleaved streams, all four policy combinations, oracle
-    /// equality plus bit-identical answers across update policies.
+    /// random interleaved streams, both update policies, oracle equality
+    /// plus bit-identical answers across them.
     #[test]
     fn crack_and_mdd1r_match_oracle_and_policies_agree(
         ops in proptest::collection::vec(op_strategy(), 1..80),
         seed in 0u64..1_000,
     ) {
         for kind in [EngineKind::Crack, EngineKind::Mdd1r] {
-            for index in IndexPolicy::ALL {
-                let per_elem = replay(&ops, kind, index, UpdatePolicy::PerElement, seed);
-                let batched = replay(&ops, kind, index, UpdatePolicy::Batched, seed);
-                prop_assert_eq!(
-                    &per_elem, &batched,
-                    "{:?}/{}: answers diverged across update policies", kind, index
-                );
-            }
+            let per_elem = replay(&ops, kind, UpdatePolicy::PerElement, seed);
+            let batched = replay(&ops, kind, UpdatePolicy::Batched, seed);
+            prop_assert_eq!(
+                &per_elem, &batched,
+                "{:?}: answers diverged across update policies", kind
+            );
         }
     }
 
@@ -205,14 +195,14 @@ proptest! {
         let kinds = update_capable_kinds();
         let kind = kinds[kind_idx % kinds.len()];
         for update in UpdatePolicy::ALL {
-            replay(&ops, kind, IndexPolicy::default(), update, seed);
+            replay(&ops, kind, update, seed);
         }
     }
 }
 
 /// The deterministic full matrix: every update-capable engine × both
-/// index policies × both update policies on one fixed mixed stream, with
-/// cross-policy bit-identity on the answers.
+/// update policies on one fixed mixed stream, with cross-policy
+/// bit-identity on the answers.
 #[test]
 fn full_matrix_policies_are_bit_identical() {
     let mut state = 0xD1B5_4A32_D192_ED03u64;
@@ -230,10 +220,8 @@ fn full_matrix_policies_are_bit_identical() {
         .collect();
     for kind in update_capable_kinds() {
         let mut traces = Vec::new();
-        for index in IndexPolicy::ALL {
-            for update in UpdatePolicy::ALL {
-                traces.push(replay(&ops, kind, index, update, 42));
-            }
+        for update in UpdatePolicy::ALL {
+            traces.push(replay(&ops, kind, update, 42));
         }
         for t in &traces[1..] {
             assert_eq!(

@@ -22,7 +22,7 @@
 //! |---|---|---|
 //! | [`types`] | `scrack_types` | `Element`, `QueryRange`, `Stats`, `CacheProfile` |
 //! | [`columnstore`] | `scrack_columnstore` | `Column`, `QueryOutput`, `Table` |
-//! | [`index`] | `scrack_index` | cracker index: flat directory (default) + AVL + radix, `IndexPolicy` |
+//! | [`index`] | `scrack_index` | cracker index: flat directory (engines) + AVL reference, `IndexPolicy` |
 //! | [`partition`] | `scrack_partition` | crack-in-two/three, MDD1R split, introselect |
 //! | [`core`] | `scrack_core` | every engine: Crack, DDC/DDR, DD1C/DD1R, MDD1R, DDM/MDD1M, … |
 //! | [`query`] | `scrack_query` | multi-column tables, predicates, aggregates |
@@ -48,8 +48,8 @@ pub mod columnstore {
     pub use scrack_columnstore::*;
 }
 
-/// The cracker index: flat, AVL and radix representations
-/// ([`scrack_index`]).
+/// The cracker index: the flat representation the engines run on and
+/// the AVL reference it is tested against ([`scrack_index`]).
 pub mod index {
     pub use scrack_index::*;
 }
@@ -234,9 +234,9 @@ pub mod prelude {
     pub use scrack_columnstore::{Column, QueryOutput, Table};
     pub use scrack_core::{
         build_engine, CrackConfig, CrackEngine, CrackedColumn, Dd1cEngine, Dd1mEngine, Dd1rEngine,
-        DdcEngine, DdmEngine, DdrEngine, Engine, EngineKind, FaultKind, FaultPlan, IndexPolicy,
-        KernelPolicy, Mdd1mEngine, Mdd1rEngine, Oracle, ProgressiveEngine, ScanEngine,
-        SelectiveEngine, SelectivePolicy, SortEngine, UpdatePolicy,
+        DdcEngine, DdmEngine, DdrEngine, Engine, EngineKind, FaultKind, FaultPlan, KernelPolicy,
+        Mdd1mEngine, Mdd1rEngine, Oracle, ProgressiveEngine, ScanEngine, SelectiveEngine,
+        SelectivePolicy, SortEngine, UpdatePolicy,
     };
     pub use scrack_hybrids::{HybridEngine, HybridKind};
     pub use scrack_parallel::{
